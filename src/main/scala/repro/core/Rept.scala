@@ -2,16 +2,17 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Sequential (single-JVM) REPT orchestrator: runs every group of the
-  * Layout(m,c) over the stream and combines counters into the paper's global
-  * and local estimates. The Spark runner (`ReptSpark`) parallelises the same
-  * group computations as tasks and must produce identical results for the
-  * same seed (asserted in tests).
+/** Sequential (single-JVM) REPT driver: runs the c processors of
+  * Layout(m, c) one after another over the stream and combines their
+  * counters into the paper's global and local estimates. The Spark runner
+  * (`ReptSpark`) runs the same processors as tasks and the same `combine` on
+  * the driver, so the two agree bit for bit for the same seed.
   */
 object Rept {
 
   /** Full output of one REPT run. `tauVHat` holds only nodes with a nonzero
-    * estimate contribution; absent nodes estimate 0.
+    * counter; absent nodes estimate 0. `perProcStored` is |E⁽ⁱ⁾|, the edges
+    * processor i stored (about |E|/m each).
     */
   final case class Result(
       m: Int,
@@ -20,64 +21,50 @@ object Rept {
       tauVHat: Map[Int, Double],
       perProcTau: Array[Long],
       perProcEta: Array[Long],
+      perProcStored: Array[Long],
   )
 
   /** Deterministic per-group hash seed: groups must be mutually independent. */
   def groupSeed(baseSeed: Long, group: Int): Long =
     EdgeStream.mix64(baseSeed ^ (0x5851f42d4c957f2dL * (group + 1)))
 
+  /** Processor i of Layout(m, c): slot i mod m of group i / m (for c ≤ m,
+    * slot i of the single group 0), tracking η when the layout needs it.
+    */
+  def processor(lay: ReptEstimator.Layout, seed: Long, i: Int): ReptProcessor =
+    new ReptProcessor(lay.m, i % lay.m, groupSeed(seed, i / lay.m), lay.needsEta)
+
   /** Run REPT(p = 1/m, c) over a packed-key stream. */
   def run(stream: Array[Long], m: Int, c: Int, seed: Long, locals: Boolean = true): Result = {
     val lay = ReptEstimator.Layout(m, c)
-    val sims = (0 until lay.numGroups).map { g =>
-      new ReptGroupSim(m, lay.slotsOf(g), groupSeed(seed, g), lay.needsEta, locals)
-        .processStream(stream)
-    }
-    combine(lay, sims, locals)
+    combine(lay, (0 until c).map(i => processor(lay, seed, i).processStream(stream).counters(locals)))
   }
 
-  /** Combine finished group simulators into estimates (shared with ReptSpark's
-    * driver-side global path).
+  /** Combine the c processors' counters (in processor order) into estimates.
+    * Shared by every REPT driver: sequential, Spark and streaming.
     */
-  def combine(lay: ReptEstimator.Layout, sims: Seq[ReptGroupSim], locals: Boolean): Result = {
-    import lay._
-    val perProcTau = sims.flatMap(_.tauSlots).toArray
-    val perProcEta =
-      if (needsEta) sims.flatMap(_.etaSlots).toArray else new Array[Long](perProcTau.length)
-    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq,
-      if (needsEta) perProcEta.toIndexedSeq else Nil)
+  def combine(lay: ReptEstimator.Layout, procs: Seq[ReptProcessor.Counters]): Result = {
+    require(procs.length == lay.c, s"expected ${lay.c} processors, got ${procs.length}")
+    val perProcTau = procs.map(_.tau).toArray
+    val perProcEta = procs.map(_.eta).toArray
+    val tauHat = ReptEstimator.estimateGlobal(lay.m, lay.c, perProcTau.toIndexedSeq,
+      perProcEta.toIndexedSeq)
+    Result(lay.m, lay.c, tauHat, localEstimates(lay, procs), perProcTau, perProcEta,
+      procs.map(_.stored).toArray)
+  }
 
-    val tauVHat: Map[Int, Double] =
-      if (!locals) Map.empty
-      else if (cLeM) {
-        val acc = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        for ((node, tArr, _) <- sims.head.localRows) acc(node.toLong) += tArr.sum
-        acc.iterator
-          .map { case (n, s) => (n.toInt, ReptEstimator.estimateCleM(m, c, s)) }
-          .toMap
-      } else {
-        // Per-node sums over: full-group slots (s1), leftover slots (s2), η (all).
-        val s1 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        val s2 = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        val se = mutable.LongMap.empty[Long].withDefaultValue(0L)
-        for ((sim, g) <- sims.zipWithIndex; (node, tArr, eArr) <- sim.localRows) {
-          val k = node.toLong
-          if (isFull(g)) s1(k) += tArr.sum else s2(k) += tArr.sum
-          if (needsEta) se(k) += eArr.sum
-        }
-        val nodes = (s1.keysIterator ++ s2.keysIterator).toSet
-        nodes.iterator.map { k =>
-          val est =
-            if (c2 == 0) ReptEstimator.estimateFullGroups(m, c1, s1(k))
-            else {
-              val t1 = ReptEstimator.estimateFullGroups(m, c1, s1(k))
-              val t2 = ReptEstimator.estimateCleM(m, c2, s2(k))
-              val eh = ReptEstimator.estimateEta(m, c, se(k))
-              ReptEstimator.combineCgtM(m, c1, c2, t1, t2, eh)
-            }
-          (k.toInt, est)
-        }.toMap
-      }
-    Result(m, c, tauHat, tauVHat, perProcTau, perProcEta)
+  /** Per-node estimates from the processors' local counters: per node, the
+    * τ_v sums over full-group and remaining processors and the η_v sum, fed
+    * to `ReptEstimator.estimate`.
+    */
+  def localEstimates(lay: ReptEstimator.Layout, procs: Seq[ReptProcessor.Counters]): Map[Int, Double] = {
+    val full = lay.c1 * lay.m
+    val sums = mutable.LongMap.empty[Array[Long]]
+    for ((p, i) <- procs.iterator.zipWithIndex; j <- p.nodes.indices) {
+      val s = sums.getOrElseUpdate(p.nodes(j).toLong, new Array[Long](3))
+      s(if (i < full) 0 else 1) += p.tauV(j)
+      s(2) += p.etaV(j)
+    }
+    sums.iterator.map { case (v, s) => v.toInt -> ReptEstimator.estimate(lay, s(0), s(1), s(2)) }.toMap
   }
 }

@@ -51,6 +51,19 @@ object ReptEstimator {
     else (w2 * t1 + w1 * t2) / (w1 + w2)
   }
 
+  /** The REPT estimate for any (m, c) from counter sums: `s1` over the full
+    * groups' processors, `s2` over the rest (all c processors when c ≤ m),
+    * `se` = Ση⁽ⁱ⁾ over all processors (read only when `lay.needsEta`). The
+    * global estimate and every per-node estimate go through this function.
+    */
+  def estimate(lay: Layout, s1: Long, s2: Long, se: Long): Double = {
+    import lay._
+    if (cLeM) estimateCleM(m, c, s2)
+    else if (c2 == 0) estimateFullGroups(m, c1, s1)
+    else combineCgtM(m, c1, c2, estimateFullGroups(m, c1, s1), estimateCleM(m, c2, s2),
+      estimateEta(m, c, se))
+  }
+
   /** Global estimate for any (m, c) given the per-processor counters.
     * `tauPerProc` has length c in processor order; `etaPerProc` is required
     * only when Layout(m,c).needsEta.
@@ -58,17 +71,10 @@ object ReptEstimator {
   def estimateGlobal(m: Int, c: Int, tauPerProc: Seq[Long], etaPerProc: Seq[Long] = Nil): Double = {
     require(tauPerProc.length == c, s"expected $c tau counters, got ${tauPerProc.length}")
     val lay = Layout(m, c)
-    if (lay.cLeM) estimateCleM(m, c, tauPerProc.sum)
-    else if (lay.c2 == 0) estimateFullGroups(m, lay.c1, tauPerProc.sum)
-    else {
+    if (lay.needsEta)
       require(etaPerProc.length == c, s"expected $c eta counters, got ${etaPerProc.length}")
-      val full = tauPerProc.take(lay.c1 * m)
-      val last = tauPerProc.drop(lay.c1 * m)
-      val t1 = estimateFullGroups(m, lay.c1, full.sum)
-      val t2 = estimateCleM(m, lay.c2, last.sum)
-      val etaHat = estimateEta(m, c, etaPerProc.sum)
-      combineCgtM(m, lay.c1, lay.c2, t1, t2, etaHat)
-    }
+    val (full, rest) = tauPerProc.splitAt(lay.c1 * m)
+    estimate(lay, full.sum, rest.sum, etaPerProc.sum)
   }
 
   /** Theoretical Var(τ̂) for c ≤ m (Theorem 3). Also valid per-node with

@@ -57,6 +57,24 @@ final class ReptProcessor(
   /** Number of edges currently stored in E⁽ⁱ⁾. */
   def sampledEdges: Long = stored
 
+  /** This processor's counters as one compact record; the per-node arrays
+    * are left empty unless `locals` is set.
+    */
+  def counters(locals: Boolean): ReptProcessor.Counters = {
+    // Every node with an η_v entry also has a (positive) τ_v entry.
+    val n = if (locals) tauVCnt.size else 0
+    val nodes = new Array[Int](n)
+    val tauV = new Array[Long](n)
+    val etaV = new Array[Long](n)
+    if (locals) {
+      var j = 0
+      tauVCnt.foreachEntry { (v, x) =>
+        nodes(j) = v.toInt; tauV(j) = x; etaV(j) = etaVCnt(v); j += 1
+      }
+    }
+    ReptProcessor.Counters(tauCnt, etaCnt, stored, nodes, tauV, etaV)
+  }
+
   private def neighbors(x: Int): mutable.HashSet[Int] =
     adj.getOrElse(x, ReptProcessor.emptySet)
 
@@ -130,4 +148,10 @@ final class ReptProcessor(
 
 object ReptProcessor {
   private val emptySet = mutable.HashSet.empty[Int]
+
+  /** A processor's finished counters: τ⁽ⁱ⁾, η⁽ⁱ⁾, the stored-edge count
+    * |E⁽ⁱ⁾|, and τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾ as arrays parallel to `nodes`.
+    */
+  final case class Counters(tau: Long, eta: Long, stored: Long,
+                            nodes: Array[Int], tauV: Array[Long], etaV: Array[Long])
 }

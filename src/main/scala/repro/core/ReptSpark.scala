@@ -1,101 +1,37 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-/** Spark runner for one REPT(1/m, c) pass: each group of the Layout is a task
-  * (mapPartitions over a one-task-per-group Dataset, the edge stream
-  * broadcast once), and the per-processor counters come back as rows —
-  * globals are combined on the driver with `ReptEstimator`, local estimates
-  * entirely as a DataFrame aggregation (the "per-partition sampled edge
-  * counters aggregated" shape).
+/** Spark runner for one REPT(1/m, c) pass: one task per processor. Task i
+  * runs `Rept.processor(layout, seed, i)` over the broadcast edge stream and
+  * returns its counters as one compact record; the driver collects the c
+  * records once and combines them with `Rept.combine`. Each task therefore
+  * stores only its own ≈ |E|/m edges, and nothing is cached.
   *
   * Bit-identical to the sequential `Rept.run` for the same (m, c, seed).
   */
 object ReptSpark {
 
-  /** One group to simulate. */
-  final case class GroupTask(group: Int, slots: Int, seed: Long, trackEta: Boolean, locals: Boolean)
-
-  /** Counter row: node = −1 carries a slot's global (τ⁽ⁱ⁾, η⁽ⁱ⁾); node ≥ 0
-    * carries that node's (τ_v⁽ⁱ⁾, η_v⁽ⁱ⁾) on slot `slot` of `group`.
-    */
-  final case class CounterRow(group: Int, slot: Int, node: Int, tau: Long, eta: Long)
-
   /** Run result: the global estimate plus (optionally) the per-node estimate
-    * DataFrame (node, estimate); absent nodes estimate 0.
+    * DataFrame (node, estimate), built from the driver's map; absent nodes
+    * estimate 0. `perProcStored` is the edges each processor stored.
     */
   final case class SparkResult(tauHat: Double, locals: Option[DataFrame],
-                               perProcTau: Array[Long], perProcEta: Array[Long])
+                               perProcTau: Array[Long], perProcEta: Array[Long],
+                               perProcStored: Array[Long])
 
   def run(spark: SparkSession, stream: Array[Long], m: Int, c: Int, seed: Long,
           locals: Boolean = true): SparkResult = {
     import spark.implicits._
     val lay = ReptEstimator.Layout(m, c)
     val bc = spark.sparkContext.broadcast(stream)
-    val tasks = (0 until lay.numGroups)
-      .map(g => GroupTask(g, lay.slotsOf(g), Rept.groupSeed(seed, g), lay.needsEta, locals))
-    val rows = spark.createDataset(tasks)
-      .repartition(lay.numGroups)
-      .mapPartitions { it =>
-        it.flatMap { task =>
-          val sim = new ReptGroupSim(m, task.slots, task.seed, task.trackEta, task.locals)
-          sim.processStream(bc.value)
-          val globals = (0 until task.slots).iterator
-            .map(s => CounterRow(task.group, s, -1, sim.tau(s), sim.eta(s)))
-          val localRows = sim.localRows.flatMap { case (node, tArr, eArr) =>
-            tArr.indices.iterator
-              .filter(s => tArr(s) != 0L || eArr(s) != 0L)
-              .map(s => CounterRow(task.group, s, node, tArr(s), eArr(s)))
-          }
-          globals ++ localRows
-        }
-      }
-      .toDF()
-      .cache()
-
-    val globalRows = rows.where(col("node") === -1)
-      .orderBy("group", "slot")
-      .collect()
-    val perProcTau = globalRows.map(_.getAs[Long]("tau"))
-    val perProcEta = globalRows.map(_.getAs[Long]("eta"))
-    val tauHat = ReptEstimator.estimateGlobal(m, c, perProcTau.toIndexedSeq,
-      if (lay.needsEta) perProcEta.toIndexedSeq else Nil)
-
-    val localsDf =
-      if (!locals) None
-      else Some(localEstimates(rows.where(col("node") =!= -1), lay))
-    SparkResult(tauHat, localsDf, perProcTau, perProcEta)
-  }
-
-  /** Per-node estimate DataFrame from counter rows — pure Catalyst. */
-  def localEstimates(localRows: DataFrame, lay: ReptEstimator.Layout): DataFrame = {
-    import lay._
-    if (cLeM) {
-      localRows.groupBy("node")
-        .agg(sum("tau") as "s")
-        .select(col("node"), (lit(m.toDouble * m / c) * col("s")) as "estimate")
-    } else if (c2 == 0) {
-      localRows.groupBy("node")
-        .agg(sum("tau") as "s")
-        .select(col("node"), (lit(m.toDouble / c1) * col("s")) as "estimate")
-    } else {
-      val agg = localRows.groupBy("node").agg(
-        sum(when(col("group") < c1, col("tau")).otherwise(0L)) as "s1",
-        sum(when(col("group") === c1, col("tau")).otherwise(0L)) as "s2",
-        sum(col("eta")) as "se",
-      )
-      val t1 = lit(m.toDouble / c1) * col("s1")
-      val t2 = lit(m.toDouble * m / c2) * col("s2")
-      val eh = lit(math.pow(m.toDouble, 3) / c) * col("se")
-      val withT = agg.select(col("node"), t1 as "t1", t2 as "t2", eh as "eh")
-      val w1 = col("t1") * (m - 1) / c1
-      val w2 = (col("t1") * (m.toDouble * m - c2) + lit(2.0) * col("eh") * (m - c2)) / c2
-      withT.select(
-        col("node"),
-        when(w1 + w2 <= 0, (col("t1") + col("t2")) / 2.0)
-          .otherwise((w2 * col("t1") + w1 * col("t2")) / (w1 + w2)) as "estimate",
-      )
-    }
+    val counters = try {
+      spark.sparkContext.parallelize(0 until c, c)
+        .map(i => Rept.processor(lay, seed, i).processStream(bc.value).counters(locals))
+        .collect()
+    } finally bc.destroy()
+    val r = Rept.combine(lay, counters.toIndexedSeq)
+    val localsDf = if (locals) Some(r.tauVHat.toSeq.toDF("node", "estimate")) else None
+    SparkResult(r.tauHat, localsDf, r.perProcTau, r.perProcEta, r.perProcStored)
   }
 }

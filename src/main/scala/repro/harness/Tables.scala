@@ -87,8 +87,8 @@ object Tables {
 
   /** Per-processor single-pass runtimes (Figure 7 as a table). The paper's
     * parallel wall-clock at fixed c is each method's per-processor pass time
-    * (all c processors run concurrently), so that is what we time — on the
-    * true streaming engines, not the group simulator.
+    * (all c processors run concurrently), so that is what we time: one pass
+    * of each method's streaming engine, the same engine every driver runs.
     */
   def runtime(spark: SparkSession, graph: String, ms: Seq[Int], reps: Int,
               seed: Long): Seq[RuntimePoint] = {

@@ -3,25 +3,23 @@ package repro.harness
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline, TriestImprProcessor}
-import repro.core.{EdgeStream, Rept, ReptEstimator, ReptGroupSim}
+import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
 
 /** Repeated-trial experiment runner behind every accuracy table.
   *
   * One invocation sweeps a whole list of processor counts `cs` at fixed
-  * m = 1/p. The key reuse property: REPT's per-slot counters do not depend on
-  * how many slots are "active", so a single `ReptGroupSim` pass at full width
-  * m yields every c ≤ m configuration as a slot prefix, and the group sims
-  * 0..⌈maxC/m⌉−1 cover every c in the sweep (the c-th configuration reads
-  * groups/slots exactly as `ReptEstimator.Layout(m, c)` prescribes, with the
-  * same per-group seeds `Rept.groupSeed` the dedicated runner would use).
+  * m = 1/p. The key reuse property: REPT processor i — slot i mod m of group
+  * i / m, hashed with `Rept.groupSeed` — counts the same whatever c is, so
+  * the processors 0..maxC−1 of one trial cover every c in the sweep as a
+  * processor prefix, read exactly as `ReptEstimator.Layout(m, c)` prescribes.
   * Likewise a baseline's processor i is independent of c, so the c-processor
   * parallel estimate is the mean over processor prefix 0..c−1.
   *
-  * Work units (REPT group sims, baseline engine passes) across all methods
-  * and trials form one Spark Dataset of task descriptors fanned out with
-  * mapPartitions over the broadcast edge stream; counter rows come back as a
-  * cached DataFrame from which global estimates (driver) and per-node
-  * estimate DataFrames (Catalyst aggregations) are assembled per (method, c).
+  * Work units (one REPT processor or one baseline engine pass each) across
+  * all methods and trials are Spark tasks over the broadcast edge stream;
+  * their counter rows come back as a cached DataFrame. REPT estimates for a
+  * given c use the functions behind `Rept.combine`: `estimateGlobal` on the
+  * driver, `Rept.localEstimates` in one task per trial.
   *
   * Budgets follow Section IV-B: MASCOT samples with p = 1/m; Trièst gets
   * budget |E|/m; GPS gets |E|/(2m) (weights cost the other half of its
@@ -34,13 +32,13 @@ object TrialHarness {
   val TriestName = "TRIEST"
   val GpsName    = "GPS"
 
-  /** One work unit: a REPT group sim (unit = group index) or a baseline
-    * engine pass (unit = processor index).
+  /** One work unit: REPT processor (unit = group, slot = slot in the group)
+    * or a baseline engine pass (unit = processor index, slot = 0).
     */
-  final case class Task(method: String, trial: Int, unit: Int, slots: Int, seed: Long)
+  final case class Task(method: String, trial: Int, unit: Int, slot: Int, seed: Long)
 
-  /** Counter row. REPT: per (group, slot), node = −1 for the slot's globals
-    * (x = τ⁽ⁱ⁾, eta = η⁽ⁱ⁾), node ≥ 0 for that node's counters on the slot.
+  /** Counter row. REPT: per (group, slot), node = −1 for the processor's
+    * globals (x = τ⁽ⁱ⁾, eta = η⁽ⁱ⁾), node ≥ 0 for that node's counters.
     * Baselines: slot = 0; x is the processor's (already scaled) estimate.
     */
   final case class CounterRow(method: String, trial: Int, unit: Int, slot: Int,
@@ -56,7 +54,7 @@ object TrialHarness {
   ) {
     require(cs.nonEmpty && cs.forall(_ >= 1), s"bad cs: $cs")
     val maxC: Int = cs.max
-    /** Number of REPT group sims needed to cover every c in the sweep. */
+    /** Number of REPT groups the processors 0..maxC−1 span. */
     val reptGroups: Int = math.max(1, (maxC + m - 1) / m)
     /** η tracking needed if any c > m has a leftover group. */
     val needsEta: Boolean = cs.exists(c => ReptEstimator.Layout(m, c).needsEta)
@@ -73,7 +71,10 @@ object TrialHarness {
       }.toMap
       (for (method <- cfg.methods; c <- cfg.cs) yield {
         val perTrial = (0 until cfg.trials).map { trial =>
-          if (method == ReptName) reptGlobal(cfg.m, c, k => rows(Key(method, trial, k._1, k._2)))
+          if (method == ReptName) {
+            val procs = (0 until c).map(i => rows(Key(method, trial, i / cfg.m, i % cfg.m)))
+            ReptEstimator.estimateGlobal(cfg.m, c, procs.map(_._1.toLong), procs.map(_._2.toLong))
+          }
           else (0 until c).map(i => rows(Key(method, trial, i, 0))._1).sum / c
         }
         (method, c) -> perTrial
@@ -98,59 +99,25 @@ object TrialHarness {
     private final case class Key(method: String, trial: Int, unit: Int, slot: Int)
   }
 
-  /** REPT global estimate for processor count c from per-(group, slot)
-    * counters (lookup: (group, slot) → (τ, η)).
-    */
-  def reptGlobal(m: Int, c: Int, cnt: ((Int, Int)) => (Double, Double)): Double = {
-    val lay = ReptEstimator.Layout(m, c)
-    val c1 = lay.c1; val c2 = lay.c2
-    if (lay.cLeM) m.toDouble * m / c * (0 until c).map(s => cnt((0, s))._1).sum
-    else {
-      val fullSum = (for (g <- 0 until c1; s <- 0 until m) yield cnt((g, s))._1).sum
-      if (c2 == 0) m.toDouble / c1 * fullSum
-      else {
-        val lastSum = (0 until c2).map(s => cnt((c1, s))._1).sum
-        val etaSum = (for (g <- 0 until c1; s <- 0 until m) yield cnt((g, s))._2).sum +
-          (0 until c2).map(s => cnt((c1, s))._2).sum
-        ReptEstimator.combineCgtM(m, c1, c2,
-          m.toDouble / c1 * fullSum,
-          m.toDouble * m / c2 * lastSum,
-          math.pow(m.toDouble, 3) / c * etaSum)
-      }
-    }
-  }
-
-  /** REPT per-(trial, node) estimates for processor count c from per-slot
-    * local counter rows — pure Catalyst.
+  /** REPT per-(trial, node) estimates for processor count c from per-node
+    * counter rows: each trial's processors 0..c−1 go through
+    * `Rept.localEstimates`, one task per trial.
     */
   def reptLocalEstimates(reptRows: DataFrame, m: Int, c: Int): DataFrame = {
+    import reptRows.sparkSession.implicits._
     val lay = ReptEstimator.Layout(m, c)
-    val c1 = lay.c1; val c2 = lay.c2
-    if (lay.cLeM)
-      reptRows.where(col("unit") === 0 && col("slot") < c)
-        .groupBy("trial", "node").agg(sum("x") as "s")
-        .select(col("trial"), col("node"), (lit(m.toDouble * m / c) * col("s")) as "estimate")
-    else if (c2 == 0)
-      reptRows.where(col("unit") < c1)
-        .groupBy("trial", "node").agg(sum("x") as "s")
-        .select(col("trial"), col("node"), (lit(m.toDouble / c1) * col("s")) as "estimate")
-    else {
-      val active = col("unit") < c1 || (col("unit") === c1 && col("slot") < c2)
-      val agg = reptRows.where(active).groupBy("trial", "node").agg(
-        sum(when(col("unit") < c1, col("x")).otherwise(0.0)) as "rs1",
-        sum(when(col("unit") === c1, col("x")).otherwise(0.0)) as "rs2",
-        sum(col("eta")) as "rse",
-      )
-      val withT = agg.select(col("trial"), col("node"),
-        (lit(m.toDouble / c1) * col("rs1")) as "t1",
-        (lit(m.toDouble * m / c2) * col("rs2")) as "t2",
-        (lit(math.pow(m.toDouble, 3) / c) * col("rse")) as "eh")
-      val w1 = col("t1") * (m - 1) / c1
-      val w2 = (col("t1") * (m.toDouble * m - c2) + lit(2.0) * col("eh") * (m - c2)) / c2
-      withT.select(col("trial"), col("node"),
-        when(w1 + w2 <= 0, (col("t1") + col("t2")) / 2.0)
-          .otherwise((w2 * col("t1") + w1 * col("t2")) / (w1 + w2)) as "estimate")
-    }
+    reptRows.where(col("unit") * m + col("slot") < c).as[CounterRow]
+      .groupByKey(_.trial)
+      .flatMapGroups { (trial, rows) =>
+        val byProc = rows.toSeq.groupBy(r => r.unit * m + r.slot)
+        val procs = (0 until c).map { i =>
+          val rs = byProc.getOrElse(i, Nil)
+          ReptProcessor.Counters(0L, 0L, 0L, rs.map(_.node).toArray, rs.map(_.x.toLong).toArray,
+            rs.map(_.eta.toLong).toArray)
+        }
+        Rept.localEstimates(lay, procs).iterator.map { case (v, x) => (trial, v, x) }
+      }
+      .toDF("trial", "node", "estimate")
   }
 
   /** Seed for one (method, trial): methods and trials draw independent
@@ -166,7 +133,8 @@ object TrialHarness {
       (0 until cfg.trials).flatMap { trial =>
         val ts = trialSeed(cfg.seed, method, trial)
         if (method == ReptName)
-          (0 until cfg.reptGroups).map(g => Task(method, trial, g, cfg.m, Rept.groupSeed(ts, g)))
+          (0 until cfg.maxC).map(i =>
+            Task(method, trial, i / cfg.m, i % cfg.m, Rept.groupSeed(ts, i / cfg.m)))
         else
           (0 until cfg.maxC).map(i => Task(method, trial, i, 0, ParallelBaseline.procSeed(ts, i)))
       }
@@ -176,9 +144,8 @@ object TrialHarness {
     val locals = cfg.locals
     val needsEta = cfg.needsEta
     val nEdges = stream.length
-    val rows = spark.createDataset(tasks)
-      .repartition(math.min(tasks.size, 256))
-      .mapPartitions { it => it.flatMap(t => runTask(t, bc.value, m, needsEta, locals, nEdges)) }
+    val rows = spark.sparkContext.parallelize(tasks, math.min(tasks.size, 256))
+      .flatMap(t => runTask(t, bc.value, m, needsEta, locals, nEdges))
       .toDF()
       .cache()
     rows.count() // materialise before callers branch off it
@@ -189,15 +156,11 @@ object TrialHarness {
   def runTask(t: Task, stream: Array[Long], m: Int, needsEta: Boolean, locals: Boolean,
               nEdges: Int): Iterator[CounterRow] = t.method match {
     case ReptName =>
-      val sim = new ReptGroupSim(m, t.slots, t.seed, needsEta, locals).processStream(stream)
-      val g = (0 until t.slots).iterator.map(s =>
-        CounterRow(t.method, t.trial, t.unit, s, -1, sim.tau(s).toDouble, sim.eta(s).toDouble))
-      val l = if (!locals) Iterator.empty else sim.localRows.flatMap { case (node, tArr, eArr) =>
-        tArr.indices.iterator
-          .filter(s => tArr(s) != 0L || eArr(s) != 0L)
-          .map(s => CounterRow(t.method, t.trial, t.unit, s, node, tArr(s).toDouble, eArr(s).toDouble))
-      }
-      g ++ l
+      val p = new ReptProcessor(m, t.slot, t.seed, needsEta).processStream(stream).counters(locals)
+      Iterator.single(CounterRow(t.method, t.trial, t.unit, t.slot, -1, p.tau.toDouble,
+        p.eta.toDouble)) ++
+        p.nodes.indices.iterator.map(j => CounterRow(t.method, t.trial, t.unit, t.slot,
+          p.nodes(j), p.tauV(j).toDouble, p.etaV(j).toDouble))
     case MascotName =>
       val e = new MascotProcessor(1.0 / m, t.seed).processStream(stream)
       emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])

@@ -160,6 +160,28 @@ class ReptProcessorSpec extends AnyFunSuite {
     assert(p.tauEdgeCounters(EdgeStream.key(2, 3)) == 1)
   }
 
+  test("m=1 counters record is the exact counter: tau, tau_v and eta+") {
+    val edges = Ref.cliquePlusNoise(8, 30, 70, 13)
+    val r = new ReptProcessor(1, 0, 5, trackEta = true).processStream(streamOf(edges))
+      .counters(locals = true)
+    assert(r.tau == Ref.tau(edges))
+    assert(r.nodes.zip(r.tauV).toMap == Ref.tauV(edges))
+    assert(r.eta == Ref.etaPlus(edges))
+  }
+
+  test("counters record covers exactly the nodes with nonzero tau_v") {
+    val edges = Ref.cliquePlusNoise(7, 20, 40, 33)
+    val p = new ReptProcessor(3, 1, 4, trackEta = true).processStream(streamOf(edges))
+    val r = p.counters(locals = true)
+    assert(r.nodes.distinct.length == r.nodes.length)
+    assert(r.nodes.zip(r.tauV).toMap == p.tauV.filter(_._2 != 0))
+    assert(r.nodes.zip(r.etaV).toMap.filter(_._2 != 0) == p.etaV.filter(_._2 != 0))
+    assert(r.tau == p.tau && r.eta == p.eta && r.stored == p.sampledEdges)
+    val g = p.counters(locals = false)
+    assert(g.nodes.isEmpty && g.tauV.isEmpty && g.etaV.isEmpty)
+    assert(g.tau == p.tau && g.eta == p.eta && g.stored == p.sampledEdges)
+  }
+
   test("trackEta=false leaves eta structures untouched") {
     val edges = Ref.cliquePlusNoise(6, 15, 20, 3)
     val p = new ReptProcessor(1, 0, 1).processStream(streamOf(edges))

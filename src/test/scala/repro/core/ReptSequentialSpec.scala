@@ -52,6 +52,42 @@ class ReptSequentialSpec extends AnyFunSuite {
     assert(r.tauVHat.isEmpty && r.tauHat >= 0)
   }
 
+  test("globals are the same with locals on and off") {
+    for ((m, c) <- Seq((4, 3), (3, 6), (3, 8))) {
+      val a = Rept.run(stream, m, c, 41)
+      val b = Rept.run(stream, m, c, 41, locals = false)
+      assert(a.tauHat == b.tauHat, s"m=$m c=$c")
+      assert(a.perProcTau.toSeq == b.perProcTau.toSeq && a.perProcEta.toSeq == b.perProcEta.toSeq)
+      assert(a.tauVHat.nonEmpty && b.tauVHat.isEmpty)
+    }
+  }
+
+  test("slot counters are the same for every c in which the slot is active") {
+    val m = 5
+    val runs = (1 to 2 * m + 3).map(c => Rept.run(stream, m, c, 3, locals = false))
+    val widest = runs.last // c = 13: c1 = 2, c2 = 3, eta tracked
+    for (r <- runs; i <- 0 until r.c) {
+      assert(r.perProcTau(i) == widest.perProcTau(i), s"tau c=${r.c} proc=$i")
+      assert(r.perProcStored(i) == widest.perProcStored(i), s"stored c=${r.c} proc=$i")
+      if (ReptEstimator.Layout(m, r.c).needsEta)
+        assert(r.perProcEta(i) == widest.perProcEta(i), s"eta c=${r.c} proc=$i")
+    }
+  }
+
+  test("a leftover group (c mod m != 0) matches standalone processors") {
+    for (m <- Seq(4, 6); active <- Seq(1, 2, 3)) {
+      val c = m + active
+      val lay = ReptEstimator.Layout(m, c)
+      val r = Rept.run(stream, m, c, 2, locals = false)
+      for (slot <- 0 until active) {
+        val p = new ReptProcessor(m, slot, Rept.groupSeed(2, 1), lay.needsEta).processStream(stream)
+        assert(r.perProcTau(m + slot) == p.tau, s"tau m=$m c=$c slot=$slot")
+        assert(r.perProcEta(m + slot) == p.eta, s"eta m=$m c=$c slot=$slot")
+        assert(r.perProcStored(m + slot) == p.sampledEdges, s"stored m=$m c=$c slot=$slot")
+      }
+    }
+  }
+
   test("nodes with local estimates are genuine triangle members") {
     val r = Rept.run(stream, 3, 3, 23)
     val triNodes = Ref.tauV(edges).keySet

@@ -59,4 +59,22 @@ class ReptSparkSpec extends SparkSpec {
       assert(r.perProcTau.length == c && r.perProcEta.length == c, s"m=$m c=$c")
     }
   }
+
+  test("each full group stores every edge once; no processor stores over 2|E|/m") {
+    for ((m, c) <- Seq((4, 4), (3, 8), (5, 12))) {
+      val r = ReptSpark.run(spark, stream, m, c, 17, locals = false)
+      assert(r.perProcStored.length == c, s"m=$m c=$c")
+      for (group <- r.perProcStored.grouped(m) if group.length == m)
+        assert(group.sum == stream.length.toLong, s"m=$m c=$c")
+      assert(r.perProcStored.forall(_ <= 2L * stream.length / m), s"m=$m c=$c")
+    }
+  }
+
+  test("a run with locals caches nothing") {
+    val sc = spark.sparkContext
+    val firstNewRdd = sc.emptyRDD[Int].id
+    val r = ReptSpark.run(spark, stream, 3, 8, 19, locals = true)
+    assert(r.locals.get.collect().nonEmpty)
+    assert(sc.getRDDStorageInfo.filter(_.id >= firstNewRdd).isEmpty)
+  }
 }
