@@ -23,7 +23,7 @@ object StreamingReptJob {
     println(s"graph=$graph m=$m c=$c batchSize=$batchSize")
     println(f"exact tau = ${info.tau}  streaming REPT tauHat = ${res.tauHat}%.1f  " +
       f"relErr = ${math.abs(res.tauHat - info.tau) / info.tau}%.4f  " +
-      s"(snapshots emitted: ${res.snapshotsPerProc})")
+      s"(snapshots per processor: ${res.snapshotsPerProc})")
     spark.stop()
   }
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 import scala.collection.mutable
-import repro.core.EdgeStream
+import repro.core.{Adjacency, EdgeStream, StreamEngine}
 
 /** GPS In-Stream (Ahmed et al., VLDB'17) — graph priority sampling.
   *
@@ -23,11 +23,11 @@ import repro.core.EdgeStream
   * both cost memory), benchmarks give GPS half the edge budget of the other
   * methods.
   */
-final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Serializable {
+final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
   require(budget >= 1, s"budget must be >= 1, got $budget")
 
   private val rng = new SplittableRandom(seed)
-  private val adj = mutable.HashMap.empty[Int, mutable.HashSet[Int]]
+  private val adj = new Adjacency
   private val weightOf = mutable.LongMap.empty[Double]
   // Min-heap of (rank, edgeKey); ranks are fixed at insertion so no lazy deletes.
   private val heap = new java.util.PriorityQueue[GpsInStreamProcessor.Entry](
@@ -49,10 +49,9 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Serial
     if (z <= 0 || w >= z) 1.0 else w / z
   }
 
-  private def addEdge(k: Long, weight: Double, rank: Double): Unit = {
-    val u = EdgeStream.keyU(k); val v = EdgeStream.keyV(k)
-    adj.getOrElseUpdate(u, mutable.HashSet.empty) += v
-    adj.getOrElseUpdate(v, mutable.HashSet.empty) += u
+  private def addEdge(u: Int, v: Int, weight: Double, rank: Double): Unit = {
+    val k = EdgeStream.key(u, v)
+    adj.add(u, v)
     weightOf(k) = weight
     heap.add(GpsInStreamProcessor.Entry(rank, k))
   }
@@ -62,51 +61,28 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Serial
     z = math.max(z, min.rank)
     val k = min.edgeKey
     weightOf.remove(k)
-    val u = EdgeStream.keyU(k); val v = EdgeStream.keyV(k)
-    adj.get(u).foreach { s => s -= v; if (s.isEmpty) adj.remove(u) }
-    adj.get(v).foreach { s => s -= u; if (s.isEmpty) adj.remove(v) }
+    adj.remove(EdgeStream.keyU(k), EdgeStream.keyV(k))
+  }
+
+  private val countClosed: Adjacency.Visitor = (u, v, w) => {
+    val inc = 1.0 / (q(EdgeStream.key(u, w)) * q(EdgeStream.key(v, w)))
+    global += inc
+    localCnt(u) += inc; localCnt(v) += inc; localCnt(w) += inc
   }
 
   def processEdge(u: Int, v: Int): Unit = {
     if (u == v) return
-    val nu = adj.getOrElse(u, GpsInStreamProcessor.emptySet)
-    val nv = adj.getOrElse(v, GpsInStreamProcessor.emptySet)
-    var k = 0
-    if (nu.nonEmpty && nv.nonEmpty) {
-      val (small, big) = if (nu.size <= nv.size) (nu, nv) else (nv, nu)
-      val it = small.iterator
-      while (it.hasNext) {
-        val w = it.next()
-        if (big.contains(w)) {
-          k += 1
-          val inc = 1.0 / (q(EdgeStream.key(u, w)) * q(EdgeStream.key(v, w)))
-          global += inc
-          localCnt(u) += inc; localCnt(v) += inc; localCnt(w) += inc
-        }
-      }
-    }
+    val k = adj.forEachCommon(u, v, countClosed)
     val weight = 9.0 * k + 1.0
     var unif = rng.nextDouble()
     while (unif == 0.0) unif = rng.nextDouble()
     val rank = weight / unif
-    val key = EdgeStream.key(u, v)
-    if (heap.size < budget) addEdge(key, weight, rank)
-    else if (rank > heap.peek().rank) { removeMin(); addEdge(key, weight, rank) }
+    if (heap.size < budget) addEdge(u, v, weight, rank)
+    else if (rank > heap.peek().rank) { removeMin(); addEdge(u, v, weight, rank) }
     else z = math.max(z, rank)
-  }
-
-  def processStream(stream: Array[Long]): this.type = {
-    var i = 0
-    while (i < stream.length) {
-      val e = stream(i)
-      processEdge(EdgeStream.keyU(e), EdgeStream.keyV(e))
-      i += 1
-    }
-    this
   }
 }
 
 object GpsInStreamProcessor {
-  private val emptySet = mutable.HashSet.empty[Int]
   final case class Entry(rank: Double, edgeKey: Long)
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 import scala.collection.mutable
-import repro.core.EdgeStream
+import repro.core.{Adjacency, StreamEngine}
 
 /** MASCOT (Lim & Kang, KDD'15), the improved memory-efficient variant used by
   * the REPT paper as its main baseline.
@@ -16,11 +16,11 @@ import repro.core.EdgeStream
   * Each parallel-MASCOT processor is one independent instance of this engine
   * (own RNG seed); the parallel estimate averages the c instances.
   */
-final class MascotProcessor(val p: Double, val seed: Long) extends Serializable {
+final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine with Serializable {
   require(p > 0 && p <= 1, s"p must be in (0,1], got $p")
 
   private val rng = new SplittableRandom(seed)
-  private val adj = mutable.HashMap.empty[Int, mutable.HashSet[Int]]
+  private val adj = new Adjacency
   private var semi: Long = 0L
   private val semiV = mutable.LongMap.empty[Long].withDefaultValue(0L)
   private var stored: Long = 0L
@@ -35,44 +35,17 @@ final class MascotProcessor(val p: Double, val seed: Long) extends Serializable 
   def tauVHat: collection.Map[Int, Double] =
     semiV.iterator.map { case (k, n) => (k.toInt, n / (p * p)) }.toMap
 
-  /** Raw per-node semi-triangle counts. */
-  def semiVCounts: collection.Map[Int, Long] =
-    semiV.iterator.map { case (k, n) => (k.toInt, n) }.toMap
-
   def sampledEdges: Long = stored
+
+  private val countSemi: Adjacency.Visitor = (_, _, w) => semiV(w) += 1
 
   def processEdge(u: Int, v: Int): Unit = {
     if (u == v) return
-    val nu = adj.getOrElse(u, MascotProcessor.emptySet)
-    val nv = adj.getOrElse(v, MascotProcessor.emptySet)
-    if (nu.nonEmpty && nv.nonEmpty) {
-      val (small, big) = if (nu.size <= nv.size) (nu, nv) else (nv, nu)
-      var k = 0
-      val it = small.iterator
-      while (it.hasNext) {
-        val w = it.next()
-        if (big.contains(w)) { k += 1; semiV(w) += 1 }
-      }
-      if (k > 0) { semi += k; semiV(u) += k; semiV(v) += k }
-    }
+    val k = adj.forEachCommon(u, v, countSemi)
+    if (k > 0) { semi += k; semiV(u) += k; semiV(v) += k }
     if (rng.nextDouble() < p) {
-      adj.getOrElseUpdate(u, mutable.HashSet.empty) += v
-      adj.getOrElseUpdate(v, mutable.HashSet.empty) += u
+      adj.add(u, v)
       stored += 1
     }
   }
-
-  def processStream(stream: Array[Long]): this.type = {
-    var i = 0
-    while (i < stream.length) {
-      val e = stream(i)
-      processEdge(EdgeStream.keyU(e), EdgeStream.keyV(e))
-      i += 1
-    }
-    this
-  }
-}
-
-object MascotProcessor {
-  private val emptySet = mutable.HashSet.empty[Int]
 }

@@ -2,7 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 import scala.collection.mutable
-import repro.core.EdgeStream
+import repro.core.{Adjacency, EdgeStream, StreamEngine}
 
 /** Trièst-IMPR (De Stefani et al., KDD'16) — reservoir-sampled streaming
   * triangle counting with the "improved" weighted counters, the variant the
@@ -16,11 +16,11 @@ import repro.core.EdgeStream
   * η_t = max(1, (t−1)(t−2)/(M(M−1))) — the IMPR weighting that makes the
   * counters directly unbiased estimates (no end-of-stream rescaling).
   */
-final class TriestImprProcessor(val budget: Int, val seed: Long) extends Serializable {
+final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
   require(budget >= 2, s"budget must be >= 2, got $budget")
 
   private val rng = new SplittableRandom(seed)
-  private val adj = mutable.HashMap.empty[Int, mutable.HashSet[Int]]
+  private val adj = new Adjacency
   private val reservoir = new Array[Long](budget)
   private var size = 0
   private var t: Long = 0L
@@ -37,61 +37,30 @@ final class TriestImprProcessor(val budget: Int, val seed: Long) extends Seriali
   def edgesSeen: Long = t
   def sampledEdges: Int = size
 
-  private def addEdge(k: Long): Unit = {
-    val u = EdgeStream.keyU(k); val v = EdgeStream.keyV(k)
-    adj.getOrElseUpdate(u, mutable.HashSet.empty) += v
-    adj.getOrElseUpdate(v, mutable.HashSet.empty) += u
-  }
-
-  private def removeEdge(k: Long): Unit = {
-    val u = EdgeStream.keyU(k); val v = EdgeStream.keyV(k)
-    adj.get(u).foreach { s => s -= v; if (s.isEmpty) adj.remove(u) }
-    adj.get(v).foreach { s => s -= u; if (s.isEmpty) adj.remove(v) }
-  }
+  // The IMPR weight of the edge being processed.
+  private var w8: Double = 0.0
+  private val countLocal: Adjacency.Visitor = (_, _, w) => localCnt(w) += w8
 
   def processEdge(u: Int, v: Int): Unit = {
     if (u == v) return
     t += 1
     val m = budget.toDouble
-    val w8 = math.max(1.0, (t - 1).toDouble * (t - 2).toDouble / (m * (m - 1)))
-    val nu = adj.getOrElse(u, TriestImprProcessor.emptySet)
-    val nv = adj.getOrElse(v, TriestImprProcessor.emptySet)
-    if (nu.nonEmpty && nv.nonEmpty) {
-      val (small, big) = if (nu.size <= nv.size) (nu, nv) else (nv, nu)
-      var k = 0
-      val it = small.iterator
-      while (it.hasNext) {
-        val w = it.next()
-        if (big.contains(w)) { k += 1; localCnt(w) += w8 }
-      }
-      if (k > 0) {
-        global += k * w8
-        localCnt(u) += k * w8
-        localCnt(v) += k * w8
-      }
+    w8 = math.max(1.0, (t - 1).toDouble * (t - 2).toDouble / (m * (m - 1)))
+    val k = adj.forEachCommon(u, v, countLocal)
+    if (k > 0) {
+      global += k * w8
+      localCnt(u) += k * w8
+      localCnt(v) += k * w8
     }
     val key = EdgeStream.key(u, v)
     if (size < budget) {
-      reservoir(size) = key; size += 1; addEdge(key)
+      reservoir(size) = key; size += 1; adj.add(u, v)
     } else if (rng.nextDouble() < budget / t.toDouble) {
       val victim = rng.nextInt(budget)
-      removeEdge(reservoir(victim))
+      val old = reservoir(victim)
+      adj.remove(EdgeStream.keyU(old), EdgeStream.keyV(old))
       reservoir(victim) = key
-      addEdge(key)
+      adj.add(u, v)
     }
   }
-
-  def processStream(stream: Array[Long]): this.type = {
-    var i = 0
-    while (i < stream.length) {
-      val e = stream(i)
-      processEdge(EdgeStream.keyU(e), EdgeStream.keyV(e))
-      i += 1
-    }
-    this
-  }
-}
-
-object TriestImprProcessor {
-  private val emptySet = mutable.HashSet.empty[Int]
 }

@@ -17,12 +17,6 @@ object ReptEstimator {
     val c1: Int = if (cLeM) 0 else c / m
     /** Leftover processors (c₂); equals c when c ≤ m. */
     val c2: Int = if (cLeM) c else c % m
-    /** Total number of groups (each gets an independent hash seed). */
-    val numGroups: Int = (if (cLeM) 0 else c1) + (if (c2 != 0) 1 else 0)
-    /** Active slots in group g. */
-    def slotsOf(g: Int): Int = if (!cLeM && g < c1) m else c2
-    /** Whether group g is a full (m-processor) group. */
-    def isFull(g: Int): Boolean = !cLeM && g < c1
     /** Whether the c > m, c₂ ≠ 0 estimator (and hence η tracking) is needed. */
     val needsEta: Boolean = !cLeM && c2 != 0
   }

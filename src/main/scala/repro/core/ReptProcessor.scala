@@ -24,12 +24,12 @@ final class ReptProcessor(
     val slotId: Int,
     val hashSeed: Long,
     val trackEta: Boolean = false,
-) extends Serializable {
+) extends StreamEngine with Serializable {
   require(slotId >= 0 && slotId < m, s"slotId $slotId outside [0,$m)")
 
   val hasher = new EdgeHasher(m, hashSeed)
 
-  private val adj = mutable.HashMap.empty[Int, mutable.HashSet[Int]]
+  private val adj = new Adjacency
   private var tauCnt: Long = 0L
   private var etaCnt: Long = 0L
   private val tauVCnt  = mutable.LongMap.empty[Long].withDefaultValue(0L)
@@ -75,21 +75,22 @@ final class ReptProcessor(
     ReptProcessor.Counters(tauCnt, etaCnt, stored, nodes, tauV, etaV)
   }
 
-  private def neighbors(x: Int): mutable.HashSet[Int] =
-    adj.getOrElse(x, ReptProcessor.emptySet)
-
-  /** Common neighbours of u and v in the stored graph, iterating the smaller
-    * adjacency set.
+  /** Counts the semi-triangle (u, v, w) at w and, with η tracking, pairs it
+    * with the earlier triangles on its edges (u, w) and (v, w).
     */
-  private def commonNeighbors(u: Int, v: Int): List[Int] = {
-    val nu = neighbors(u); val nv = neighbors(v)
-    if (nu.isEmpty || nv.isEmpty) Nil
-    else {
-      val (small, big) = if (nu.size <= nv.size) (nu, nv) else (nv, nu)
-      var out: List[Int] = Nil
-      val it = small.iterator
-      while (it.hasNext) { val w = it.next(); if (big.contains(w)) out = w :: out }
-      out
+  private val closeSemi: Adjacency.Visitor = (u, v, w) => {
+    tauVCnt(w) += 1
+    if (trackEta) {
+      val kuw = EdgeStream.key(u, w)
+      val kvw = EdgeStream.key(v, w)
+      val tuw = tauEdge(kuw)
+      val tvw = tauEdge(kvw)
+      etaCnt += tuw + tvw
+      etaVCnt(w) += tuw + tvw
+      etaVCnt(u) += tuw
+      etaVCnt(v) += tvw
+      tauEdge(kuw) = tuw + 1
+      tauEdge(kvw) = tvw + 1
     }
   }
 
@@ -98,57 +99,23 @@ final class ReptProcessor(
     */
   def processEdge(u: Int, v: Int): Unit = {
     if (u == v) return
-    val common = commonNeighbors(u, v)
-    var k = 0
-    var it = common
-    val edgeKey = EdgeStream.key(u, v)
-    val mySlot  = hasher.slot(edgeKey)
-    while (it.nonEmpty) {
-      val w = it.head; it = it.tail
-      k += 1
-      tauVCnt(w) += 1
-      if (trackEta) {
-        val kuw = EdgeStream.key(u, w)
-        val kvw = EdgeStream.key(v, w)
-        val tuw = tauEdge(kuw)
-        val tvw = tauEdge(kvw)
-        etaCnt += tuw + tvw
-        etaVCnt(w) += tuw + tvw
-        etaVCnt(u) += tuw
-        etaVCnt(v) += tvw
-        tauEdge(kuw) = tuw + 1
-        tauEdge(kvw) = tvw + 1
-      }
-    }
+    val k = adj.forEachCommon(u, v, closeSemi)
     if (k > 0) {
       tauCnt += k
       tauVCnt(u) += k
       tauVCnt(v) += k
     }
-    if (mySlot == slotId) {
-      adj.getOrElseUpdate(u, mutable.HashSet.empty) += v
-      adj.getOrElseUpdate(v, mutable.HashSet.empty) += u
+    val edgeKey = EdgeStream.key(u, v)
+    if (hasher.slot(edgeKey) == slotId) {
+      adj.add(u, v)
       stored += 1
       // τ_(u,v) starts at |N_{u,v}⁽ⁱ⁾| — the semi-triangles (u,v) just closed.
       if (trackEta) tauEdge(edgeKey) = k.toLong
     }
   }
-
-  /** One pass over a packed-key edge stream. */
-  def processStream(stream: Array[Long]): this.type = {
-    var i = 0
-    while (i < stream.length) {
-      val e = stream(i)
-      processEdge(EdgeStream.keyU(e), EdgeStream.keyV(e))
-      i += 1
-    }
-    this
-  }
 }
 
 object ReptProcessor {
-  private val emptySet = mutable.HashSet.empty[Int]
-
   /** A processor's finished counters: τ⁽ⁱ⁾, η⁽ⁱ⁾, the stored-edge count
     * |E⁽ⁱ⁾|, and τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾ as arrays parallel to `nodes`.
     */

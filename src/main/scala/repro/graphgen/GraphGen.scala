@@ -92,24 +92,6 @@ object GraphGen {
     finishStream(intra.unionByName(cross), seed + 3)
   }
 
-  /** Graph stream built from the provided `repro.SynthData.zipfKeys`
-    * generator: two independent zipf key draws per row become an edge's
-    * endpoints. A second route to skewed graphs that reuses the scaffold's
-    * OLAP key machinery (`alpha` close to 1 = heavier skew).
-    */
-  def fromZipfKeys(spark: SparkSession, rows: Long, nKeys: Long, alpha: Double,
-                   seed: Long): DataFrame = {
-    val a = repro.SynthData.zipfKeys(spark, rows, nKeys, alpha, seed)
-      .select(col("k").cast("int") as "u")
-    val b = repro.SynthData.zipfKeys(spark, rows, nKeys, alpha, seed + 17)
-      .select(col("k").cast("int") as "v")
-    // zipWithIndex-free pairing: both sides are generated from range(rows),
-    // so joining on a row id keeps the draw pairing deterministic.
-    val aId = a.withColumn("rid", monotonically_increasing_id())
-    val bId = b.withColumn("rid", monotonically_increasing_id())
-    finishStream(aId.join(bId, "rid").select(col("u"), col("v")), seed + 31)
-  }
-
   /** Driver-built fixture stream: edges arrive in the given order. */
   def fromEdges(spark: SparkSession, edges: Seq[(Int, Int)]): DataFrame = {
     import spark.implicits._

@@ -47,7 +47,6 @@ object BenchGraphs {
   private val streamCache = mutable.Map.empty[String, Array[Long]]
   private val infoCache   = mutable.Map.empty[String, GraphInfo]
   private val tauVCache   = mutable.Map.empty[String, DataFrame]
-  private val etaVCache   = mutable.Map.empty[String, DataFrame]
 
   /** The stream DataFrame (t, u, v) for a catalog graph. */
   def streamDF(spark: SparkSession, name: String): DataFrame =
@@ -76,15 +75,6 @@ object BenchGraphs {
     tauVCache.getOrElseUpdate(name, {
       val df = ExactTriangles.tauV(EdgeStream.toDF(spark, stream(spark, name))).cache()
       df.count() // materialise
-      df
-    })
-  }
-
-  /** Exact per-node η_v/η⁺_v (node, etaV, etaPlusV), cached and persisted. */
-  def etaVDf(spark: SparkSession, name: String): DataFrame = synchronized {
-    etaVCache.getOrElseUpdate(name, {
-      val df = ExactEta.localEta(EdgeStream.toDF(spark, stream(spark, name))).cache()
-      df.count()
       df
     })
   }

@@ -82,13 +82,16 @@ object ReptStreaming {
 
     val all = spark.table(queryName).as[Snapshot].collect()
     val finalSnaps = all.groupBy(_.proc).map { case (_, snaps) => snaps.maxBy(_.edgesSeen) }
-    combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length)
+    // Every processor sees every batch, so each emits all.length / c snapshots.
+    combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length / c)
   }
 
-  /** Combine final per-processor snapshots into the paper's estimates. */
-  def combine(lay: ReptEstimator.Layout, snaps: Seq[Snapshot], totalSnaps: Int): StreamingResult = {
+  /** Combine final per-processor snapshots into the paper's estimates;
+    * `snapshotsPerProc` is the number of snapshots one processor emitted.
+    */
+  def combine(lay: ReptEstimator.Layout, snaps: Seq[Snapshot], snapshotsPerProc: Int): StreamingResult = {
     require(snaps.map(_.proc) == (0 until lay.c), s"missing processors: got ${snaps.map(_.proc)}")
     val r = Rept.combine(lay, snaps.map(_.counters))
-    StreamingResult(r.tauHat, r.tauVHat, r.perProcTau, r.perProcEta, totalSnaps)
+    StreamingResult(r.tauHat, r.tauVHat, r.perProcTau, r.perProcEta, snapshotsPerProc)
   }
 }

@@ -9,27 +9,22 @@ class ReptEstimatorSpec extends AnyFunSuite {
 
   test("layout: c <= m is a single group of c slots") {
     val lay = Layout(10, 7)
-    assert(lay.cLeM && lay.numGroups == 1 && lay.slotsOf(0) == 7 && !lay.needsEta)
-    assert(!lay.isFull(0))
+    assert(lay.cLeM && lay.c1 == 0 && lay.c2 == 7 && !lay.needsEta)
   }
 
   test("layout: c = m is still the single-group case") {
     val lay = Layout(10, 10)
-    assert(lay.cLeM && lay.numGroups == 1 && lay.slotsOf(0) == 10)
+    assert(lay.cLeM && lay.c1 == 0 && lay.c2 == 10)
   }
 
   test("layout: c = 2m gives two full groups and no eta") {
     val lay = Layout(5, 10)
-    assert(!lay.cLeM && lay.c1 == 2 && lay.c2 == 0 && lay.numGroups == 2 && !lay.needsEta)
-    assert(lay.isFull(0) && lay.isFull(1))
-    assert(lay.slotsOf(0) == 5 && lay.slotsOf(1) == 5)
+    assert(!lay.cLeM && lay.c1 == 2 && lay.c2 == 0 && !lay.needsEta)
   }
 
   test("layout: c = c1*m + c2 gives c1 full groups plus a leftover") {
     val lay = Layout(5, 13)
-    assert(lay.c1 == 2 && lay.c2 == 3 && lay.numGroups == 3 && lay.needsEta)
-    assert(lay.isFull(0) && lay.isFull(1) && !lay.isFull(2))
-    assert(lay.slotsOf(2) == 3)
+    assert(lay.c1 == 2 && lay.c2 == 3 && lay.needsEta)
   }
 
   test("layout rejects invalid m, c") {

@@ -15,8 +15,7 @@ object ReptEstimatorProps extends Properties("ReptEstimator") {
   property("layout partitions processors exactly") = forAll(genM, Gen.chooseNum(1, 200)) {
     (m, c) =>
       val lay = Layout(m, c)
-      (0 until lay.numGroups).map(lay.slotsOf).sum == (if (lay.cLeM) c else c) &&
-        lay.c1 * m + lay.c2 == (if (lay.cLeM) lay.c2 else c)
+      lay.c1 * m + lay.c2 == c
   }
 
   property("estimateCleM is nonnegative and scales linearly") =

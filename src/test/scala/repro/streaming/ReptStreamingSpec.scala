@@ -47,5 +47,8 @@ class ReptStreamingSpec extends SparkSpec {
     val r = ReptStreaming.run(spark, stream, 1, 1, 3, batchSize = 13)
     assert(r.tauHat == Ref.tau(edges).toDouble)
     assert(r.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
+    val multi = ReptStreaming.run(spark, stream, 1, 2, 3, batchSize = 13)
+    assert(multi.tauHat == Ref.tau(edges).toDouble)
+    assert(multi.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
   }
 }
