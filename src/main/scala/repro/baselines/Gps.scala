@@ -1,6 +1,5 @@
 package repro.baselines
 
-import java.util.SplittableRandom
 import scala.collection.mutable
 import repro.core.{Adjacency, EdgeStream, StreamEngine}
 
@@ -26,12 +25,12 @@ import repro.core.{Adjacency, EdgeStream, StreamEngine}
 final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
   require(budget >= 1, s"budget must be >= 1, got $budget")
 
-  private val rng = new SplittableRandom(seed)
+  private val rng = new SplitMix(seed)
   private val adj = new Adjacency
   private val weightOf = mutable.LongMap.empty[Double]
   // Min-heap of (rank, edgeKey); ranks are fixed at insertion so no lazy deletes.
   private val heap = new java.util.PriorityQueue[GpsInStreamProcessor.Entry](
-    budget + 1, (a, b) => java.lang.Double.compare(a.rank, b.rank))
+    budget + 1, GpsInStreamProcessor.ByRank)
   private var z: Double = 0.0
   private var global: Double = 0.0
   private val localCnt = mutable.LongMap.empty[Double].withDefaultValue(0.0)
@@ -85,4 +84,9 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
 
 object GpsInStreamProcessor {
   final case class Entry(rank: Double, edgeKey: Long)
+
+  /** The heap's order; a serializable object, unlike a lambda comparator. */
+  private object ByRank extends java.util.Comparator[Entry] with Serializable {
+    def compare(a: Entry, b: Entry): Int = java.lang.Double.compare(a.rank, b.rank)
+  }
 }

@@ -1,8 +1,6 @@
 package repro.baselines
 
-import java.util.SplittableRandom
-import scala.collection.mutable
-import repro.core.{Adjacency, StreamEngine}
+import repro.core.{Adjacency, LongCounts, StreamEngine}
 
 /** MASCOT (Lim & Kang, KDD'15), the improved memory-efficient variant used by
   * the REPT paper as its main baseline.
@@ -19,10 +17,10 @@ import repro.core.{Adjacency, StreamEngine}
 final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine with Serializable {
   require(p > 0 && p <= 1, s"p must be in (0,1], got $p")
 
-  private val rng = new SplittableRandom(seed)
+  private val rng = new SplitMix(seed)
   private val adj = new Adjacency
   private var semi: Long = 0L
-  private val semiV = mutable.LongMap.empty[Long].withDefaultValue(0L)
+  private val semiV = new LongCounts
   private var stored: Long = 0L
 
   /** Raw semi-triangle count before scaling. */
@@ -33,19 +31,17 @@ final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine 
 
   /** Local estimates τ̃_v (zero-count nodes omitted). */
   def tauVHat: collection.Map[Int, Double] =
-    semiV.iterator.map { case (k, n) => (k.toInt, n / (p * p)) }.toMap
+    semiV.toMap.map { case (k, n) => (k.toInt, n / (p * p)) }
 
   def sampledEdges: Long = stored
 
-  private val countSemi: Adjacency.Visitor = (_, _, w) => semiV(w) += 1
+  private val countSemi: Adjacency.Visitor = (_, _, w) => semiV.add(w, 1)
 
   def processEdge(u: Int, v: Int): Unit = {
     if (u == v) return
     val k = adj.forEachCommon(u, v, countSemi)
-    if (k > 0) { semi += k; semiV(u) += k; semiV(v) += k }
-    if (rng.nextDouble() < p) {
-      adj.add(u, v)
-      stored += 1
-    }
+    if (k > 0) { semi += k; semiV.add(u, k); semiV.add(v, k) }
+    // One draw per edge, whether or not (u, v) is already stored.
+    if (rng.nextDouble() < p && adj.add(u, v)) stored += 1
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import java.util.SplittableRandom
 import scala.collection.mutable
 import repro.core.{Adjacency, EdgeStream, StreamEngine}
 
@@ -19,7 +18,7 @@ import repro.core.{Adjacency, EdgeStream, StreamEngine}
 final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
   require(budget >= 2, s"budget must be >= 2, got $budget")
 
-  private val rng = new SplittableRandom(seed)
+  private val rng = new SplitMix(seed)
   private val adj = new Adjacency
   private val reservoir = new Array[Long](budget)
   private var size = 0

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** One REPT processor (Algorithm 1 / Algorithm 2 of the paper).
   *
   * The processor *observes* every edge of the stream but *stores* only edges
@@ -17,7 +15,8 @@ import scala.collection.mutable
   *
   * Memory is O(|E⁽ⁱ⁾|) plus the counter maps, matching the paper's per-
   * processor budget. Strictly one pass; self-loops are ignored; the stream is
-  * assumed duplicate-free (as in the paper's model).
+  * assumed duplicate-free (as in the paper's model), but a repeated edge is
+  * still stored, and counted in |E⁽ⁱ⁾|, only once.
   */
 final class ReptProcessor(
     val m: Int,
@@ -32,9 +31,9 @@ final class ReptProcessor(
   private val adj = new Adjacency
   private var tauCnt: Long = 0L
   private var etaCnt: Long = 0L
-  private val tauVCnt  = mutable.LongMap.empty[Long].withDefaultValue(0L)
-  private val etaVCnt  = mutable.LongMap.empty[Long].withDefaultValue(0L)
-  private val tauEdge  = mutable.LongMap.empty[Long].withDefaultValue(0L)
+  private val tauVCnt  = new LongCounts
+  private val etaVCnt  = new LongCounts
+  private val tauEdge  = new LongCounts
   private var stored: Long = 0L
 
   /** Number of semi-triangles counted so far (τ⁽ⁱ⁾). */
@@ -44,12 +43,10 @@ final class ReptProcessor(
   def eta: Long = etaCnt
 
   /** Per-node semi-triangle counts τ_v⁽ⁱ⁾ (nodes with zero count omitted). */
-  def tauV: collection.Map[Int, Long] =
-    tauVCnt.iterator.map { case (k, n) => (k.toInt, n) }.toMap
+  def tauV: collection.Map[Int, Long] = tauVCnt.toMap.map { case (k, n) => (k.toInt, n) }
 
   /** Per-node pair counts η_v⁽ⁱ⁾ (only meaningful when trackEta). */
-  def etaV: collection.Map[Int, Long] =
-    etaVCnt.iterator.map { case (k, n) => (k.toInt, n) }.toMap
+  def etaV: collection.Map[Int, Long] = etaVCnt.toMap.map { case (k, n) => (k.toInt, n) }
 
   /** Per-stored-edge triangle multiplicities τ_(u,v)⁽ⁱ⁾ keyed by packed edge. */
   def tauEdgeCounters: collection.Map[Long, Long] = tauEdge.toMap
@@ -79,16 +76,16 @@ final class ReptProcessor(
     * with the earlier triangles on its edges (u, w) and (v, w).
     */
   private val closeSemi: Adjacency.Visitor = (u, v, w) => {
-    tauVCnt(w) += 1
+    tauVCnt.add(w, 1)
     if (trackEta) {
       val kuw = EdgeStream.key(u, w)
       val kvw = EdgeStream.key(v, w)
       val tuw = tauEdge(kuw)
       val tvw = tauEdge(kvw)
       etaCnt += tuw + tvw
-      etaVCnt(w) += tuw + tvw
-      etaVCnt(u) += tuw
-      etaVCnt(v) += tvw
+      etaVCnt.add(w, tuw + tvw)
+      etaVCnt.add(u, tuw)
+      etaVCnt.add(v, tvw)
       tauEdge(kuw) = tuw + 1
       tauEdge(kvw) = tvw + 1
     }
@@ -102,13 +99,12 @@ final class ReptProcessor(
     val k = adj.forEachCommon(u, v, closeSemi)
     if (k > 0) {
       tauCnt += k
-      tauVCnt(u) += k
-      tauVCnt(v) += k
+      tauVCnt.add(u, k)
+      tauVCnt.add(v, k)
     }
     val edgeKey = EdgeStream.key(u, v)
     if (hasher.slot(edgeKey) == slotId) {
-      adj.add(u, v)
-      stored += 1
+      if (adj.add(u, v)) stored += 1
       // τ_(u,v) starts at |N_{u,v}⁽ⁱ⁾| — the semi-triangles (u,v) just closed.
       if (trackEta) tauEdge(edgeKey) = k.toLong
     }

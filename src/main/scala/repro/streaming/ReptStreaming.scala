@@ -44,9 +44,9 @@ object ReptStreaming {
     val lay = ReptEstimator.Layout(m, c)
 
     val source = MemoryStream[ProcEdge](spark)
-    // Java serialization for state: ReptProcessor and its scala collections
-    // are plainly Serializable, which kryo's field serializer is not
-    // guaranteed to handle.
+    // Java serialization for state: ReptProcessor, its primitive-array
+    // adjacency and counter maps are plainly Serializable, which kryo's
+    // field serializer is not guaranteed to handle.
     implicit val stateEnc: org.apache.spark.sql.Encoder[ProcHolder] =
       Encoders.javaSerialization[ProcHolder]
 

@@ -69,4 +69,85 @@ class AdjacencySpec extends AnyFunSuite {
     adj.add(1, 2)
     assert(adj.nodes == 2)
   }
+
+  test("at scale: tables grow, deletions shift back, freed rows are reused, extreme ids work") {
+    val rng = new Random(2024)
+    val special = Array(0, -1, Int.MinValue, Int.MaxValue)
+    val ids = (special.iterator ++ Iterator.continually(rng.nextInt()))
+      .distinct.take(2000).toArray
+    // Low indices (the special ids first) are picked most often: hubs with long rows.
+    def pick(): Int = ids(math.min(rng.nextInt(ids.length), rng.nextInt(ids.length)))
+    val adj = new Adjacency
+    val ref = mutable.HashMap.empty[Int, mutable.Set[Int]]
+    val stored = mutable.ArrayBuffer.empty[(Int, Int)]
+
+    def add(u: Int, v: Int): Unit = {
+      val isNew = !ref.get(u).exists(_.contains(v))
+      assert(adj.add(u, v) == isNew, s"add($u, $v)")
+      if (isNew) {
+        ref.getOrElseUpdate(u, mutable.Set.empty) += v
+        ref.getOrElseUpdate(v, mutable.Set.empty) += u
+        stored += ((u, v))
+      }
+    }
+    def removeAt(i: Int): Unit = {
+      val (u, v) = stored(i)
+      stored(i) = stored.last; stored.remove(stored.length - 1)
+      if (rng.nextBoolean()) adj.remove(u, v) else adj.remove(v, u)
+      for ((x, y) <- Seq((u, v), (v, u))) {
+        ref(x) -= y
+        if (ref(x).isEmpty) ref.remove(x)
+      }
+    }
+    def check(phase: String): Unit = {
+      assert(adj.nodes == ref.size, phase)
+      val pairs = special.toSeq.flatMap(a => special.toSeq.map(b => (a, b))).filter(p => p._1 != p._2) ++
+        Seq.fill(300)((pick(), pick())) ++
+        Seq.fill(300)(stored(rng.nextInt(stored.length))) ++
+        Seq.fill(300) {
+          // Two neighbours of one node: pairs likely to share more neighbours.
+          val (x, _) = stored(rng.nextInt(stored.length))
+          val ns = ref(x).toIndexedSeq
+          (ns(rng.nextInt(ns.size)), ns(rng.nextInt(ns.size)))
+        }
+      for ((x, y) <- pairs if x != y) {
+        val got = visited(adj, x, y)
+        val want = ref.getOrElse(x, mutable.Set.empty[Int]) intersect ref.getOrElse(y, mutable.Set.empty[Int])
+        assert(got.distinct.size == got.size, s"$phase: repeated visit at ($x, $y)")
+        assert(got.toSet == want, s"$phase ($x, $y)")
+      }
+    }
+
+    // 1. Grow: 10,000 adds (some repeat an edge, in either order).
+    for (_ <- 1 to 10000) {
+      val u = pick(); val v = pick()
+      if (u != v) { if (rng.nextInt(10) == 0 && stored.nonEmpty) { val (a, b) = stored(rng.nextInt(stored.length)); add(b, a) } else add(u, v) }
+    }
+    check("grow")
+    // 2. Churn: 6,000 mixed adds and removes, with removes of absent edges.
+    for (_ <- 1 to 6000) {
+      if (rng.nextBoolean()) removeAt(rng.nextInt(stored.length))
+      else {
+        val u = pick(); val v = pick()
+        if (u != v) {
+          if (rng.nextInt(4) == 0 && !ref.get(u).exists(_.contains(v))) adj.remove(u, v) else add(u, v)
+        }
+      }
+    }
+    check("churn")
+    // 3. Drain: remove 90 % of what is left, emptying most rows.
+    for (_ <- 1 to stored.length * 9 / 10) removeAt(rng.nextInt(stored.length))
+    check("drain")
+    for (x <- special if ref.contains(x); y <- ref(x).toList) { // the extreme ids lose every edge
+      stored -= ((x, y)); stored -= ((y, x))
+      adj.remove(x, y); ref(x) -= y; ref(y) -= x
+      if (ref(y).isEmpty) ref.remove(y)
+    }
+    special.foreach(ref.remove)
+    check("specials gone")
+    // 4. Refill: new edges reuse the freed rows, the extreme ids included.
+    for (_ <- 1 to 3000) { val u = pick(); val v = pick(); if (u != v) add(u, v) }
+    for (i <- special.indices; j <- special.indices if i < j) add(special(i), special(j))
+    check("refill")
+  }
 }

@@ -1,7 +1,10 @@
 package repro.core
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ref
+import repro.baselines.{GpsInStreamProcessor, TriestImprProcessor}
 
 class ReptProcessorSpec extends AnyFunSuite {
 
@@ -207,5 +210,52 @@ class ReptProcessorSpec extends AnyFunSuite {
       slots.distinct.size == 1
     }
     assert(total == expected)
+  }
+
+  test("a repeated edge is stored and counted once") {
+    val edges = Seq((0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (0, 1), (2, 3))
+    val p = new ReptProcessor(1, 0, 1, trackEta = true).processStream(streamOf(edges))
+    assert(p.sampledEdges == edges.map { case (u, v) => EdgeStream.key(u, v) }.distinct.size)
+    assert(p.counters(locals = false).stored == p.sampledEdges)
+  }
+
+  /** Java-serialises an engine and reads it back, as a streaming checkpoint does. */
+  private def roundTrip[T <: AnyRef](x: T): T = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(x); out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[T]
+  }
+
+  test("a processor java-serialised mid-stream finishes with the counters of an uninterrupted run") {
+    val stream = streamOf(Ref.cliquePlusNoise(12, 150, 900, 5))
+    val (head, tail) = stream.splitAt(stream.length / 2)
+    val whole = new ReptProcessor(3, 1, 9, trackEta = true).processStream(stream)
+    val resumed = roundTrip(new ReptProcessor(3, 1, 9, trackEta = true).processStream(head))
+      .processStream(tail)
+    val (a, b) = (whole.counters(locals = true), resumed.counters(locals = true))
+    assert(a.tau > 0 && a.eta > 0)
+    assert((a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored))
+    assert(a.nodes.toSeq == b.nodes.toSeq && a.tauV.toSeq == b.tauV.toSeq && a.etaV.toSeq == b.etaV.toSeq)
+    assert(whole.tauEdgeCounters == resumed.tauEdgeCounters)
+    assert(whole.sampledEdges == resumed.sampledEdges)
+  }
+
+  test("Trièst and GPS java-serialised mid-stream finish with the bits of an uninterrupted run") {
+    val stream = streamOf(Ref.cliquePlusNoise(12, 150, 900, 6))
+    val (head, tail) = stream.splitAt(stream.length / 2)
+    def bits(x: Double) = java.lang.Double.doubleToLongBits(x)
+    def same(whole: (Double, collection.Map[Int, Double]), resumed: (Double, collection.Map[Int, Double])) = {
+      assert(whole._1 > 0 && bits(whole._1) == bits(resumed._1))
+      assert(whole._2.view.mapValues(bits).toMap == resumed._2.view.mapValues(bits).toMap)
+    }
+    // Budgets well under |E|, so both evict edges before and after the checkpoint.
+    val triest = new TriestImprProcessor(300, 3).processStream(stream)
+    val triestResumed = roundTrip(new TriestImprProcessor(300, 3).processStream(head)).processStream(tail)
+    same((triest.tauHat, triest.tauVHat), (triestResumed.tauHat, triestResumed.tauVHat))
+    val gps = new GpsInStreamProcessor(200, 4).processStream(stream)
+    val gpsResumed = roundTrip(new GpsInStreamProcessor(200, 4).processStream(head)).processStream(tail)
+    same((gps.tauHat, gps.tauVHat), (gpsResumed.tauHat, gpsResumed.tauVHat))
+    assert(bits(gps.threshold) == bits(gpsResumed.threshold))
   }
 }
