@@ -1,25 +1,46 @@
 package repro.streaming
 
+import java.nio.file.Files
+
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.{Encoders, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
+import repro.core.{Rept, ReptEstimator, ReptProcessor}
 
 /** REPT as a genuine one-pass Structured Streaming job.
   *
-  * The edge stream arrives in micro-batches; each edge is replicated to all c
-  * logical processors (every REPT processor must *observe* every edge), and
+  * The edge stream arrives in micro-batches of one `(t, key)` row per edge.
+  * Every REPT processor must *observe* every edge, so inside the query each
+  * batch partition packs its edges into arrays once and emits one `Pack` row
+  * per logical processor: c shuffle rows per partition, not c per edge.
   * `flatMapGroupsWithState` keyed by processor id keeps each processor's
   * `ReptProcessor` — its sampled edge set E⁽ⁱ⁾ plus counters — as streaming
-  * state across batches (java-serialized). After every batch each processor
-  * emits a counter snapshot; the final snapshots are combined into the
-  * paper's estimates exactly like the batch runner, so a streaming run is
-  * bit-identical to `Rept.run` on the same (m, c, seed).
+  * state across batches (java-serialized), and replays a batch's packs in
+  * global stream order `t` however the batch was split into partitions.
+  * After every batch each processor emits a counter snapshot; the final
+  * snapshots are combined into the paper's estimates exactly like the batch
+  * runner, so a streaming run is bit-identical to `Rept.run` on the same
+  * (m, c, seed).
+  *
+  * Each run checkpoints into its own directory under `java.io.tmpdir`,
+  * deleted after the query stops, through Spark's
+  * `FileSystemBasedCheckpointFileManager`. On a local file system that
+  * manager renames with `File.renameTo`; the default manager renames every
+  * offset, commit and state-store file (and its `.crc`) through Hadoop's
+  * `FileContext`, which without Hadoop's native library forks a `readlink`
+  * process for each. The query also runs at most c state partitions: only c
+  * keys exist, and every further partition would commit an empty state store
+  * each batch. Both settings are applied to the caller's session only while
+  * the query starts (it copies its session's conf then) and restored right
+  * after.
   */
 object ReptStreaming {
 
-  /** One stream edge replicated to one processor. */
-  final case class ProcEdge(proc: Int, t: Long, u: Int, v: Int)
+  /** One batch partition's edges, addressed to processor `proc`: stream
+    * positions `ts` and packed edge keys `keys`, in partition order.
+    */
+  final case class Pack(proc: Int, ts: Array[Int], keys: Array[Long])
 
   /** Per-processor counter snapshot emitted after each micro-batch. */
   final case class Snapshot(proc: Int, edgesSeen: Long, counters: ReptProcessor.Counters)
@@ -35,15 +56,25 @@ object ReptStreaming {
     */
   final case class ProcHolder(engine: ReptProcessor, var seen: Long)
 
+  private val CheckpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
+  private val ShufflePartitionsKey = "spark.sql.shuffle.partitions"
+  private val LocalCheckpointManager =
+    "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager"
+
   /** Run REPT over `stream` fed in `batchSize`-edge micro-batches.
     * Deterministic in (m, c, seed) and independent of batchSize.
     */
   def run(spark: SparkSession, stream: Array[Long], m: Int, c: Int, seed: Long,
           batchSize: Int): StreamingResult = {
-    import spark.implicits._
+    require(batchSize >= 1, s"batchSize must be >= 1, got $batchSize")
     val lay = ReptEstimator.Layout(m, c)
+    // No batch ever runs on an empty stream: every processor stays fresh.
+    if (stream.isEmpty)
+      return combine(lay, (0 until c).map(p =>
+        Snapshot(p, 0L, Rept.processor(lay, seed, p).counters(locals = true))), 0)
 
-    val source = MemoryStream[ProcEdge](spark)
+    import spark.implicits._
+    val source = MemoryStream[(Int, Long)](spark)
     // Java serialization for state: ReptProcessor, its primitive-array
     // adjacency and counter maps are plainly Serializable, which kryo's
     // field serializer is not guaranteed to handle.
@@ -51,39 +82,70 @@ object ReptStreaming {
       Encoders.javaSerialization[ProcHolder]
 
     val snapshots = source.toDS()
+      .mapPartitions { rows =>
+        val part = rows.toArray
+        if (part.isEmpty) Iterator.empty
+        else {
+          val ts = part.map(_._1)
+          val keys = part.map(_._2)
+          Iterator.tabulate(c)(p => Pack(p, ts, keys))
+        }
+      }
       .groupByKey(_.proc)
       .flatMapGroupsWithState[ProcHolder, Snapshot](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
-        (proc: Int, edges: Iterator[ProcEdge], state: GroupState[ProcHolder]) =>
+        (proc: Int, packs: Iterator[Pack], state: GroupState[ProcHolder]) =>
           val holder = if (state.exists) state.get else {
             ProcHolder(Rept.processor(lay, seed, proc), 0L)
           }
-          // Micro-batch rows carry the global stream position t; replay in order.
-          val batch = edges.toArray.sortBy(_.t)
-          batch.foreach { e => holder.engine.processEdge(e.u, e.v); holder.seen += 1 }
+          replay(holder, packs)
           state.update(holder)
           Iterator.single(Snapshot(proc, holder.seen, holder.engine.counters(locals = true)))
       }
 
     val queryName = s"rept_snapshots_${System.nanoTime()}"
-    val query = snapshots.writeStream
-      .format("memory")
-      .queryName(queryName)
-      .outputMode("update")
-      .start()
+    val checkpoint = Files.createTempDirectory("rept-stream-").toFile
     try {
-      stream.zipWithIndex.grouped(batchSize).foreach { chunk =>
-        source.addData(chunk.map { case (k, t) =>
-          ProcEdge(0, t.toLong, EdgeStream.keyU(k), EdgeStream.keyV(k))
-        }.flatMap(pe => (0 until c).map(p => pe.copy(proc = p))))
-        query.processAllAvailable()
+      val query = withConf(spark, CheckpointManagerKey -> LocalCheckpointManager,
+        ShufflePartitionsKey -> math.min(c, spark.conf.get(ShufflePartitionsKey).toInt).toString) {
+        snapshots.writeStream
+          .format("memory")
+          .queryName(queryName)
+          .outputMode("update")
+          .option("checkpointLocation", checkpoint.getPath)
+          .start()
       }
-    } finally query.stop()
+      try {
+        stream.iterator.zipWithIndex.map(_.swap).grouped(batchSize).foreach { chunk =>
+          source.addData(chunk)
+          query.processAllAvailable()
+        }
+      } finally query.stop()
+    } finally FileUtils.deleteQuietly(checkpoint)
 
     val all = spark.table(queryName).as[Snapshot].collect()
     val finalSnaps = all.groupBy(_.proc).map { case (_, snaps) => snaps.maxBy(_.edgesSeen) }
     // Every processor sees every batch, so each emits all.length / c snapshots.
     combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length / c)
+  }
+
+  /** Feed one micro-batch's packs to a processor in global stream order `t`.
+    * The packs may arrive in any order and their `t` ranges may interleave.
+    */
+  def replay(holder: ProcHolder, packs: Iterator[Pack]): Unit = {
+    val ps = packs.toArray
+    // t is an array index, so (t << 32 | position) sorts by t as a primitive.
+    val order = new Array[Long](ps.iterator.map(_.ts.length).sum)
+    val keys = new Array[Long](order.length)
+    var n = 0
+    for (p <- ps; j <- p.ts.indices) {
+      order(n) = (p.ts(j).toLong << 32) | n
+      keys(n) = p.keys(j)
+      n += 1
+    }
+    java.util.Arrays.sort(order)
+    holder.engine.processStream(order.map(o => keys(o.toInt)))
+    holder.seen += n
   }
 
   /** Combine final per-processor snapshots into the paper's estimates;
@@ -93,5 +155,18 @@ object ReptStreaming {
     require(snaps.map(_.proc) == (0 until lay.c), s"missing processors: got ${snaps.map(_.proc)}")
     val r = Rept.combine(lay, snaps.map(_.counters))
     StreamingResult(r.tauHat, r.tauVHat, r.perProcTau, r.perProcEta, snapshotsPerProc)
+  }
+
+  /** Run `body` with the session conf keys set to the given values, then
+    * restore each key's previous value, or unset it if it had none.
+    */
+  private def withConf[A](spark: SparkSession, settings: (String, String)*)(body: => A): A = {
+    val before = settings.map { case (k, _) => k -> spark.conf.getAll.get(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally before.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None) => spark.conf.unset(k)
+    }
   }
 }

@@ -1,9 +1,26 @@
 package repro.streaming
 
+import java.nio.file.Files
+import java.util.UUID
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import jdk.jfr.Recording
+import jdk.jfr.consumer.RecordingFile
+import org.apache.spark.sql.streaming.{StreamingQueryListener, StreamingQueryProgress}
+import org.apache.spark.sql.streaming.StreamingQueryListener._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.concurrent.ThreadSignaler
+import org.scalatest.concurrent.TimeLimits._
+import org.scalatest.time.SpanSugar._
 import repro.{Ref, SparkSpec}
-import repro.core.{EdgeStream, Rept}
+import repro.core.{EdgeStream, Rept, ReptEstimator}
+
+import scala.jdk.CollectionConverters._
 
 class ReptStreamingSpec extends SparkSpec {
+
+  private val checkpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
+  private val shufflePartitionsKey = "spark.sql.shuffle.partitions"
 
   private def streamOf(edges: Seq[(Int, Int)]): Array[Long] =
     edges.map { case (u, v) => EdgeStream.key(u, v) }.toArray
@@ -50,5 +67,111 @@ class ReptStreamingSpec extends SparkSpec {
     val multi = ReptStreaming.run(spark, stream, 1, 2, 3, batchSize = 13)
     assert(multi.tauHat == Ref.tau(edges).toDouble)
     assert(multi.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
+  }
+
+  test("an empty stream gives Rept.run's answer, for c <= m and c > m with a leftover group") {
+    for ((m, c) <- Seq((4, 3), (2, 5))) {
+      val batch = Rept.run(Array.empty[Long], m, c, 29)
+      val live = ReptStreaming.run(spark, Array.empty[Long], m, c, 29, batchSize = 10)
+      assert(live.tauHat == batch.tauHat, s"m=$m c=$c")
+      assert(live.tauHat == 0.0)
+      assert(live.perProcTau.toSeq == Seq.fill(c)(0L))
+      assert(live.perProcEta.toSeq == Seq.fill(c)(0L))
+      assert(live.tauVHat.isEmpty && batch.tauVHat.isEmpty)
+      assert(live.snapshotsPerProc == 0)
+    }
+  }
+
+  test("batchSize 0 is rejected before any query starts") {
+    // Unchecked, grouped(0) feeds empty batches forever.
+    failAfter(60.seconds) {
+      intercept[IllegalArgumentException](ReptStreaming.run(spark, stream, 3, 2, 5, batchSize = 0))
+    }(ThreadSignaler)
+    assert(spark.streams.active.isEmpty)
+  }
+
+  test("replay feeds packs with interleaved t ranges in stream order") {
+    val lay = ReptEstimator.Layout(2, 3)
+    for (p <- 0 until lay.c) {
+      val expected = Rept.processor(lay, 23, p).processStream(stream).counters(locals = true)
+      // Three packs holding every third edge each, handed over last first.
+      val packs = (2 to 0 by -1).map { r =>
+        val ts = stream.indices.filter(_ % 3 == r).toArray
+        ReptStreaming.Pack(p, ts, ts.map(stream(_)))
+      }
+      val holder = ReptStreaming.ProcHolder(Rept.processor(lay, 23, p), 0L)
+      ReptStreaming.replay(holder, packs.iterator)
+      val got = holder.engine.counters(locals = true)
+      assert(holder.seen == stream.length)
+      assert((got.tau, got.eta, got.stored) == (expected.tau, expected.eta, expected.stored), s"proc $p")
+      assert(got.nodes.toSeq == expected.nodes.toSeq)
+      assert(got.tauV.toSeq == expected.tauV.toSeq)
+      assert(got.etaV.toSeq == expected.etaV.toSeq)
+    }
+  }
+
+  test("the query runs min(c, spark.sql.shuffle.partitions) state partitions") {
+    val started = new ConcurrentLinkedQueue[UUID]
+    val terminated = new ConcurrentLinkedQueue[UUID]
+    val progress = new ConcurrentLinkedQueue[StreamingQueryProgress]
+    val listener = new StreamingQueryListener {
+      override def onQueryStarted(e: QueryStartedEvent): Unit = started.add(e.id)
+      override def onQueryProgress(e: QueryProgressEvent): Unit = progress.add(e.progress)
+      override def onQueryTerminated(e: QueryTerminatedEvent): Unit = terminated.add(e.id)
+    }
+    val c = 3
+    val expected = math.min(c, spark.conf.get(shufflePartitionsKey).toInt)
+    spark.streams.addListener(listener)
+    try {
+      ReptStreaming.run(spark, stream, 4, c, 19, batchSize = 40)
+      // Events arrive in order, so the last query started is this run's.
+      eventually(timeout(30.seconds)) {
+        assert(!started.isEmpty && terminated.asScala.toSet.contains(started.asScala.last))
+      }
+      val ours = progress.asScala.filter(_.id == started.asScala.last).toSeq
+      assert(ours.nonEmpty)
+      for (p <- ours) assert(p.stateOperators(0).numShufflePartitions == expected)
+    } finally spark.streams.removeListener(listener)
+  }
+
+  test("a run leaves the caller's checkpoint manager and shuffle partitions as they were") {
+    val keys = Seq(checkpointManagerKey, shufflePartitionsKey)
+    def conf(): Map[String, Option[String]] = keys.map(k => k -> spark.conf.getAll.get(k)).toMap
+    def assertUnchangedByRun(): Unit = {
+      val before = conf()
+      ReptStreaming.run(spark, stream, 3, 2, 17, batchSize = 40)
+      assert(conf() == before)
+    }
+    val saved = conf()
+    try {
+      keys.foreach(spark.conf.unset)
+      assertUnchangedByRun()
+      spark.conf.set(checkpointManagerKey,
+        "org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager")
+      spark.conf.set(shufflePartitionsKey, "5")
+      assertUnchangedByRun()
+    } finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None) => spark.conf.unset(k)
+    }
+  }
+
+  test("a run forks no readlink process") {
+    val rec = new Recording()
+    rec.enable("jdk.ProcessStart")
+    rec.start()
+    try ReptStreaming.run(spark, stream, 3, 2, 13, batchSize = (stream.length + 3) / 4)
+    finally rec.stop()
+    val file = Files.createTempFile("rept-stream-", ".jfr")
+    try {
+      rec.dump(file)
+      val commands = RecordingFile.readAllEvents(file).asScala
+        .filter(_.getEventType.getName == "jdk.ProcessStart").map(_.getString("command"))
+      assert(!commands.exists(_.startsWith("readlink")),
+        s"${commands.count(_.startsWith("readlink"))} readlink starts")
+    } finally {
+      rec.close()
+      Files.deleteIfExists(file)
+    }
   }
 }
