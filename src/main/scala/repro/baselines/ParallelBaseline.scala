@@ -10,6 +10,10 @@ import repro.core.EdgeStream
   */
 object ParallelBaseline {
 
+  val MascotName = "MASCOT"
+  val TriestName = "TRIEST"
+  val GpsName    = "GPS"
+
   /** Per-instance result in a common shape. */
   final case class InstanceResult(tauHat: Double, tauVHat: collection.Map[Int, Double])
 
@@ -17,19 +21,29 @@ object ParallelBaseline {
   def procSeed(base: Long, proc: Int): Long =
     EdgeStream.mix64(base ^ (0x9e3779b97f4a7c15L * (proc + 1)))
 
-  def runMascotInstance(stream: Array[Long], p: Double, seed: Long): InstanceResult = {
-    val e = new MascotProcessor(p, seed).processStream(stream)
-    InstanceResult(e.tauHat, e.tauVHat)
-  }
-
-  def runTriestInstance(stream: Array[Long], budget: Int, seed: Long): InstanceResult = {
-    val e = new TriestImprProcessor(budget, seed).processStream(stream)
-    InstanceResult(e.tauHat, e.tauVHat)
-  }
-
-  def runGpsInstance(stream: Array[Long], budget: Int, seed: Long): InstanceResult = {
-    val e = new GpsInStreamProcessor(budget, seed).processStream(stream)
-    InstanceResult(e.tauHat, e.tauVHat)
+  /** One instance of `method` at the memory of REPT(p = 1/m), per Section
+    * IV-B: MASCOT samples with p = 1/m; Trièst gets budget |E|/m; GPS gets
+    * |E|/(2m) (weights cost the other half of its memory). Local estimates
+    * are kept only when `locals` is set.
+    */
+  def instance(method: String, m: Int, stream: Array[Long], seed: Long,
+               locals: Boolean): InstanceResult = {
+    def result(tauHat: Double, tauVHat: => collection.Map[Int, Double]) =
+      InstanceResult(tauHat, if (locals) tauVHat else Map.empty[Int, Double])
+    method match {
+      case MascotName =>
+        val e = new MascotProcessor(1.0 / m, seed).processStream(stream)
+        result(e.tauHat, e.tauVHat)
+      case TriestName =>
+        val budget = math.max(2, math.round(stream.length.toDouble / m).toInt)
+        val e = new TriestImprProcessor(budget, seed).processStream(stream)
+        result(e.tauHat, e.tauVHat)
+      case GpsName =>
+        val budget = math.max(1, math.round(stream.length.toDouble / (2.0 * m)).toInt)
+        val e = new GpsInStreamProcessor(budget, seed).processStream(stream)
+        result(e.tauHat, e.tauVHat)
+      case other => throw new IllegalArgumentException(s"unknown baseline $other")
+    }
   }
 
   /** Mean of c instance results (absent nodes count as 0 in the mean). */
@@ -40,16 +54,4 @@ object ParallelBaseline {
     for (r <- results; (v, x) <- r.tauVHat) acc(v.toLong) += x
     InstanceResult(g, acc.iterator.map { case (k, x) => (k.toInt, x / c) }.toMap)
   }
-
-  /** Parallel MASCOT with sampling probability p on c processors. */
-  def runMascot(stream: Array[Long], p: Double, c: Int, seed: Long): InstanceResult =
-    average((0 until c).map(i => runMascotInstance(stream, p, procSeed(seed, i))))
-
-  /** Parallel Trièst-IMPR with per-processor budget edges. */
-  def runTriest(stream: Array[Long], budget: Int, c: Int, seed: Long): InstanceResult =
-    average((0 until c).map(i => runTriestInstance(stream, budget, procSeed(seed, i))))
-
-  /** Parallel GPS In-Stream with per-processor budget edges. */
-  def runGps(stream: Array[Long], budget: Int, c: Int, seed: Long): InstanceResult =
-    average((0 until c).map(i => runGpsInstance(stream, budget, procSeed(seed, i))))
 }

@@ -60,22 +60,22 @@ object BenchGraphs {
   /** Exact statistics (cached): nodes, edges, τ, η, η⁺. */
   def info(spark: SparkSession, name: String): GraphInfo = synchronized {
     infoCache.getOrElseUpdate(name, {
-      val df = EdgeStream.toDF(spark, stream(spark, name)).cache()
+      val df = EdgeStream.toDF(spark, stream(spark, name))
       val nodes = df.select(explode(array(col("u"), col("v"))) as "n").distinct().count()
       val edges = df.count()
       val tau = ExactTriangles.tau(df)
       val (eta, etaPlus) = ExactEta.globalEta(df)
-      df.unpersist()
       GraphInfo(name, nodes, edges, tau, eta, etaPlus)
     })
   }
 
-  /** Exact per-node triangle counts (node, tauV), cached and persisted. */
+  /** Exact per-node triangle counts (node, tauV), computed once and kept as
+    * a driver-local DataFrame.
+    */
   def tauVDf(spark: SparkSession, name: String): DataFrame = synchronized {
-    tauVCache.getOrElseUpdate(name, {
-      val df = ExactTriangles.tauV(EdgeStream.toDF(spark, stream(spark, name))).cache()
-      df.count() // materialise
-      df
-    })
+    import spark.implicits._
+    tauVCache.getOrElseUpdate(name,
+      ExactTriangles.tauV(EdgeStream.toDF(spark, stream(spark, name)))
+        .collect().map(r => (r.getInt(0), r.getLong(1))).toSeq.toDF("node", "tauV"))
   }
 }

@@ -1,7 +1,8 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{GpsInStreamProcessor, MascotProcessor, TriestImprProcessor}
+import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline,
+  TriestImprProcessor}
 import repro.core.ReptProcessor
 import repro.stats.ErrorMetrics
 
@@ -53,10 +54,8 @@ object Tables {
       val info = BenchGraphs.info(spark, g)
       val res = TrialHarness.run(spark, BenchGraphs.stream(spark, g),
         TrialHarness.Config(m, cs, trials, seed, methods, locals = false))
-      val pts = for (method <- methods; c <- cs) yield
+      for (method <- methods; c <- cs) yield
         ErrorPoint(g, method, m, c, ErrorMetrics.nrmse(res.globals((method, c)), info.tau.toDouble))
-      res.raw.unpersist()
-      pts
     }
 
   /** Local-count mean NRMSE sweep (Figures 5 and 6 as tables). */
@@ -66,12 +65,10 @@ object Tables {
       val truth = BenchGraphs.tauVDf(spark, g)
       val res = TrialHarness.run(spark, BenchGraphs.stream(spark, g),
         TrialHarness.Config(m, cs, trials, seed, methods, locals = true))
-      val pts = for (method <- methods; c <- cs) yield {
+      for (method <- methods; c <- cs) yield {
         val est = res.localEstimates(method, c).get
         ErrorPoint(g, method, m, c, ErrorMetrics.meanLocalNrmse(est, truth, trials))
       }
-      res.raw.unpersist()
-      pts
     }
 
   // ----------------------------------------------------- Figure 7 (runtime)
@@ -88,27 +85,22 @@ object Tables {
   /** Per-processor single-pass runtimes (Figure 7 as a table). The paper's
     * parallel wall-clock at fixed c is each method's per-processor pass time
     * (all c processors run concurrently), so that is what we time: one pass
-    * of each method's streaming engine, the same engine every driver runs.
+    * of each method's streaming engine, configured as in the accuracy tables
+    * (`ParallelBaseline.instance`).
     */
   def runtime(spark: SparkSession, graph: String, ms: Seq[Int], reps: Int,
               seed: Long): Seq[RuntimePoint] = {
     val stream = BenchGraphs.stream(spark, graph)
-    val nE = stream.length
+    val baselines = Seq(TrialHarness.MascotName, TrialHarness.TriestName, TrialHarness.GpsName)
     ms.flatMap { m =>
-      Seq(
-        RuntimePoint(TrialHarness.ReptName, m, timeBestOf(reps) { () =>
-          new ReptProcessor(m, 0, seed).processStream(stream); ()
-        }),
-        RuntimePoint(TrialHarness.MascotName, m, timeBestOf(reps) { () =>
-          new MascotProcessor(1.0 / m, seed).processStream(stream); ()
-        }),
-        RuntimePoint(TrialHarness.TriestName, m, timeBestOf(reps) { () =>
-          new TriestImprProcessor(math.max(2, nE / m), seed).processStream(stream); ()
-        }),
-        RuntimePoint(TrialHarness.GpsName, m, timeBestOf(reps) { () =>
-          new GpsInStreamProcessor(math.max(1, nE / (2 * m)), seed).processStream(stream); ()
-        }),
-      )
+      val rept = RuntimePoint(TrialHarness.ReptName, m, timeBestOf(reps) { () =>
+        new ReptProcessor(m, 0, seed).processStream(stream); ()
+      })
+      rept +: baselines.map { method =>
+        RuntimePoint(method, m, timeBestOf(reps) { () =>
+          ParallelBaseline.instance(method, m, stream, seed, locals = false); ()
+        })
+      }
     }
   }
 
@@ -124,10 +116,8 @@ object Tables {
     */
   def singleThread(spark: SparkSession, graph: String, m: Int, cs: Seq[Int], trials: Int,
                    seed: Long, timeReps: Int = 3): Seq[SingleThreadPoint] = {
-    import spark.implicits._
     val stream = BenchGraphs.stream(spark, graph)
     val info = BenchGraphs.info(spark, graph)
-    val nE = stream.length
     val cores = spark.sparkContext.defaultParallelism
 
     // Accuracy: REPT via the sweep harness; singles via trial fan-out.
@@ -137,54 +127,47 @@ object Tables {
     val singleNames = Seq("MASCOT-S", "TRIEST-S", "GPS-S")
     val singleTasks = for (c <- cs; method <- singleNames; trial <- 0 until trials)
       yield (c, method, trial)
-    val singleEst = spark.createDataset(singleTasks)
-      .repartition(math.min(singleTasks.size, 256))
-      .map { case (c, method, trial) =>
-        val s = repro.core.EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
-          (c.toLong << 16) ^ trial.toLong)
-        val est = method match {
-          case "MASCOT-S" =>
-            new MascotProcessor(math.min(1.0, c.toDouble / m), s).processStream(bc.value).tauHat
-          case "TRIEST-S" =>
-            val b = math.min(nE.toLong, c.toLong * nE / m).toInt
-            new TriestImprProcessor(math.max(2, b), s).processStream(bc.value).tauHat
-          case "GPS-S" =>
-            val b = math.min(nE.toLong, c.toLong * nE / (2L * m)).toInt
-            new GpsInStreamProcessor(math.max(1, b), s).processStream(bc.value).tauHat
+    val singleEst = try {
+      spark.sparkContext.parallelize(singleTasks, math.min(singleTasks.size, 256))
+        .map { case (c, method, trial) =>
+          val s = repro.core.EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
+            (c.toLong << 16) ^ trial.toLong)
+          (c, method, trial, single(method, m, c, bc.value, s))
         }
-        (c, method, trial, est)
-      }
-      .collect()
+        .collect()
+    } finally bc.destroy()
 
-    val pts = cs.flatMap { c =>
+    cs.flatMap { c =>
       val reptTime = timeBestOf(timeReps) { () =>
         new ReptProcessor(m, 0, seed).processStream(stream); ()
       } * math.ceil(c.toDouble / cores)
-      val mascotTime = timeBestOf(timeReps) { () =>
-        new MascotProcessor(math.min(1.0, c.toDouble / m), seed).processStream(stream); ()
-      }
-      val triestTime = timeBestOf(timeReps) { () =>
-        val b = math.min(nE.toLong, c.toLong * nE / m).toInt
-        new TriestImprProcessor(math.max(2, b), seed).processStream(stream); ()
-      }
-      val gpsTime = timeBestOf(timeReps) { () =>
-        val b = math.min(nE.toLong, c.toLong * nE / (2L * m)).toInt
-        new GpsInStreamProcessor(math.max(1, b), seed).processStream(stream); ()
-      }
-      def nrmseOf(method: String): Double =
+      def point(method: String) = SingleThreadPoint(method, c,
+        timeBestOf(timeReps) { () => single(method, m, c, stream, seed); () },
         ErrorMetrics.nrmse(
           singleEst.filter(r => r._1 == c && r._2 == method).sortBy(_._3).map(_._4).toSeq,
-          info.tau.toDouble)
-      Seq(
-        SingleThreadPoint(TrialHarness.ReptName, c, reptTime,
-          ErrorMetrics.nrmse(reptRes.globals((TrialHarness.ReptName, c)), info.tau.toDouble)),
-        SingleThreadPoint("MASCOT-S", c, mascotTime, nrmseOf("MASCOT-S")),
-        SingleThreadPoint("TRIEST-S", c, triestTime, nrmseOf("TRIEST-S")),
-        SingleThreadPoint("GPS-S", c, gpsTime, nrmseOf("GPS-S")),
-      )
+          info.tau.toDouble))
+      SingleThreadPoint(TrialHarness.ReptName, c, reptTime,
+        ErrorMetrics.nrmse(reptRes.globals((TrialHarness.ReptName, c)), info.tau.toDouble)) +:
+        singleNames.map(point)
     }
-    reptRes.raw.unpersist()
-    pts
+  }
+
+  /** One single-threaded variant's global estimate at the memory of
+    * REPT(1/m, c): MASCOT-S samples with p′ = min(1, c/m); Trièst-S and
+    * GPS-S get budgets min(|E|, c|E|/m) and min(|E|, c|E|/(2m)).
+    */
+  private def single(method: String, m: Int, c: Int, stream: Array[Long], seed: Long): Double = {
+    val nE = stream.length.toLong
+    method match {
+      case "MASCOT-S" =>
+        new MascotProcessor(math.min(1.0, c.toDouble / m), seed).processStream(stream).tauHat
+      case "TRIEST-S" =>
+        val b = math.min(nE, c * nE / m).toInt
+        new TriestImprProcessor(math.max(2, b), seed).processStream(stream).tauHat
+      case "GPS-S" =>
+        val b = math.min(nE, c * nE / (2L * m)).toInt
+        new GpsInStreamProcessor(math.max(1, b), seed).processStream(stream).tauHat
+    }
   }
 
   // ---------------------------------------------------------------- render

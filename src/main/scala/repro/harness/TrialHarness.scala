@@ -1,8 +1,8 @@
 package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline, TriestImprProcessor}
+import repro.baselines.ParallelBaseline
+import repro.baselines.ParallelBaseline.InstanceResult
 import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
 
 /** Repeated-trial experiment runner behind every accuracy table.
@@ -17,32 +17,22 @@ import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
   *
   * Work units (one REPT processor or one baseline engine pass each) across
   * all methods and trials are Spark tasks over the broadcast edge stream;
-  * their counter rows come back as a cached DataFrame. REPT estimates for a
-  * given c use the functions behind `Rept.combine`: `estimateGlobal` on the
-  * driver, `Rept.localEstimates` in one task per trial.
-  *
-  * Budgets follow Section IV-B: MASCOT samples with p = 1/m; Trièst gets
-  * budget |E|/m; GPS gets |E|/(2m) (weights cost the other half of its
-  * memory).
+  * each returns one typed record (`ReptProcessor.Counters` or
+  * `ParallelBaseline.InstanceResult`), collected once and combined on the
+  * driver by the functions every other driver uses: `estimateGlobal` and
+  * `Rept.localEstimates` for REPT, `ParallelBaseline.average` for the
+  * baselines, whose budgets `ParallelBaseline.instance` sets. Nothing is
+  * cached.
   */
 object TrialHarness {
 
   val ReptName   = "REPT"
-  val MascotName = "MASCOT"
-  val TriestName = "TRIEST"
-  val GpsName    = "GPS"
+  val MascotName: String = ParallelBaseline.MascotName
+  val TriestName: String = ParallelBaseline.TriestName
+  val GpsName: String    = ParallelBaseline.GpsName
 
-  /** One work unit: REPT processor (unit = group, slot = slot in the group)
-    * or a baseline engine pass (unit = processor index, slot = 0).
-    */
-  final case class Task(method: String, trial: Int, unit: Int, slot: Int, seed: Long)
-
-  /** Counter row. REPT: per (group, slot), node = −1 for the processor's
-    * globals (x = τ⁽ⁱ⁾, eta = η⁽ⁱ⁾), node ≥ 0 for that node's counters.
-    * Baselines: slot = 0; x is the processor's (already scaled) estimate.
-    */
-  final case class CounterRow(method: String, trial: Int, unit: Int, slot: Int,
-                              node: Int, x: Double, eta: Double)
+  /** A work unit's record: REPT counters or a baseline instance result. */
+  type Record = Either[ReptProcessor.Counters, InstanceResult]
 
   final case class Config(
       m: Int,
@@ -54,70 +44,44 @@ object TrialHarness {
   ) {
     require(cs.nonEmpty && cs.forall(_ >= 1), s"bad cs: $cs")
     val maxC: Int = cs.max
-    /** Number of REPT groups the processors 0..maxC−1 span. */
-    val reptGroups: Int = math.max(1, (maxC + m - 1) / m)
     /** η tracking needed if any c > m has a leftover group. */
     val needsEta: Boolean = cs.exists(c => ReptEstimator.Layout(m, c).needsEta)
   }
 
-  final case class Result(cfg: Config, raw: DataFrame) {
-    import Result._
+  /** A sweep's records: per (method, trial), processors 0..maxC−1 in order. */
+  final case class Result(spark: SparkSession, cfg: Config,
+                          records: Map[(String, Int), IndexedSeq[Record]]) {
+
+    private def rept(trial: Int, c: Int): IndexedSeq[ReptProcessor.Counters] =
+      records((ReptName, trial)).take(c).collect { case Left(p) => p }
+
+    private def baseline(method: String, trial: Int, c: Int): InstanceResult =
+      ParallelBaseline.average(records((method, trial)).take(c).collect { case Right(r) => r })
 
     /** Per-trial global estimates for (method, c). */
-    lazy val globals: Map[(String, Int), Seq[Double]] = {
-      val rows = raw.where(col("node") === -1).collect().map { r =>
-        Key(r.getAs[String]("method"), r.getAs[Int]("trial"), r.getAs[Int]("unit"),
-            r.getAs[Int]("slot")) -> (r.getAs[Double]("x"), r.getAs[Double]("eta"))
-      }.toMap
-      (for (method <- cfg.methods; c <- cfg.cs) yield {
-        val perTrial = (0 until cfg.trials).map { trial =>
+    lazy val globals: Map[(String, Int), Seq[Double]] =
+      (for (method <- cfg.methods; c <- cfg.cs) yield
+        (method, c) -> (0 until cfg.trials).map { trial =>
           if (method == ReptName) {
-            val procs = (0 until c).map(i => rows(Key(method, trial, i / cfg.m, i % cfg.m)))
-            ReptEstimator.estimateGlobal(cfg.m, c, procs.map(_._1.toLong), procs.map(_._2.toLong))
-          }
-          else (0 until c).map(i => rows(Key(method, trial, i, 0))._1).sum / c
-        }
-        (method, c) -> perTrial
-      }).toMap
-    }
+            val procs = rept(trial, c)
+            ReptEstimator.estimateGlobal(cfg.m, c, procs.map(_.tau), procs.map(_.eta))
+          } else baseline(method, trial, c).tauHat
+        }).toMap
 
     /** Per-(trial, node) estimate DataFrame for (method, c); None when the
       * run was configured without locals.
       */
     def localEstimates(method: String, c: Int): Option[DataFrame] = {
       if (!cfg.locals) return None
-      val rows = raw.where(col("node") =!= -1 && col("method") === method)
-      Some(
-        if (method != ReptName)
-          rows.where(col("unit") < c)
-            .groupBy("trial", "node").agg((sum("x") / c) as "estimate")
-        else reptLocalEstimates(rows, cfg.m, c))
+      import spark.implicits._
+      val lay = ReptEstimator.Layout(cfg.m, c)
+      val rows = for {
+        trial <- 0 until cfg.trials
+        (v, x) <- if (method == ReptName) Rept.localEstimates(lay, rept(trial, c))
+                  else baseline(method, trial, c).tauVHat
+      } yield (trial, v, x)
+      Some(rows.toDF("trial", "node", "estimate"))
     }
-  }
-
-  object Result {
-    private final case class Key(method: String, trial: Int, unit: Int, slot: Int)
-  }
-
-  /** REPT per-(trial, node) estimates for processor count c from per-node
-    * counter rows: each trial's processors 0..c−1 go through
-    * `Rept.localEstimates`, one task per trial.
-    */
-  def reptLocalEstimates(reptRows: DataFrame, m: Int, c: Int): DataFrame = {
-    import reptRows.sparkSession.implicits._
-    val lay = ReptEstimator.Layout(m, c)
-    reptRows.where(col("unit") * m + col("slot") < c).as[CounterRow]
-      .groupByKey(_.trial)
-      .flatMapGroups { (trial, rows) =>
-        val byProc = rows.toSeq.groupBy(r => r.unit * m + r.slot)
-        val procs = (0 until c).map { i =>
-          val rs = byProc.getOrElse(i, Nil)
-          ReptProcessor.Counters(0L, 0L, 0L, rs.map(_.node).toArray, rs.map(_.x.toLong).toArray,
-            rs.map(_.eta.toLong).toArray)
-        }
-        Rept.localEstimates(lay, procs).iterator.map { case (v, x) => (trial, v, x) }
-      }
-      .toDF("trial", "node", "estimate")
   }
 
   /** Seed for one (method, trial): methods and trials draw independent
@@ -126,57 +90,27 @@ object TrialHarness {
   def trialSeed(base: Long, method: String, trial: Int): Long =
     EdgeStream.mix64(base ^ (method.hashCode.toLong << 32) ^ (trial + 1).toLong)
 
-  /** Launch the sweep. Call `result.raw.unpersist()` when done. */
+  /** Launch the sweep. */
   def run(spark: SparkSession, stream: Array[Long], cfg: Config): Result = {
-    import spark.implicits._
-    val tasks: Seq[Task] = cfg.methods.flatMap { method =>
-      (0 until cfg.trials).flatMap { trial =>
-        val ts = trialSeed(cfg.seed, method, trial)
-        if (method == ReptName)
-          (0 until cfg.maxC).map(i =>
-            Task(method, trial, i / cfg.m, i % cfg.m, Rept.groupSeed(ts, i / cfg.m)))
-        else
-          (0 until cfg.maxC).map(i => Task(method, trial, i, 0, ParallelBaseline.procSeed(ts, i)))
-      }
-    }
+    val known = Seq(ReptName, MascotName, TriestName, GpsName)
+    require(cfg.methods.forall(known.contains), s"unknown method in ${cfg.methods}")
+    val keys = for (method <- cfg.methods; trial <- 0 until cfg.trials) yield (method, trial)
+    val units = for ((method, trial) <- keys; i <- 0 until cfg.maxC) yield (method, trial, i)
+    val (m, needsEta, locals, seed) = (cfg.m, cfg.needsEta, cfg.locals, cfg.seed)
     val bc = spark.sparkContext.broadcast(stream)
-    val m = cfg.m
-    val locals = cfg.locals
-    val needsEta = cfg.needsEta
-    val nEdges = stream.length
-    val rows = spark.sparkContext.parallelize(tasks, math.min(tasks.size, 256))
-      .flatMap(t => runTask(t, bc.value, m, needsEta, locals, nEdges))
-      .toDF()
-      .cache()
-    rows.count() // materialise before callers branch off it
-    Result(cfg, rows)
+    val out = try {
+      spark.sparkContext.parallelize(units, math.min(units.size, 256))
+        .map { case (method, trial, i) =>
+          val ts = trialSeed(seed, method, trial)
+          if (method == ReptName)
+            Left(new ReptProcessor(m, i % m, Rept.groupSeed(ts, i / m), needsEta)
+              .processStream(bc.value).counters(locals)): Record
+          else Right(ParallelBaseline.instance(method, m, bc.value,
+            ParallelBaseline.procSeed(ts, i), locals)): Record
+        }
+        .collect()
+    } finally bc.destroy()
+    // collect() keeps the units' order: maxC consecutive records per key.
+    Result(spark, cfg, keys.zip(out.toIndexedSeq.grouped(cfg.maxC)).toMap)
   }
-
-  /** Execute one work unit. */
-  def runTask(t: Task, stream: Array[Long], m: Int, needsEta: Boolean, locals: Boolean,
-              nEdges: Int): Iterator[CounterRow] = t.method match {
-    case ReptName =>
-      val p = new ReptProcessor(m, t.slot, t.seed, needsEta).processStream(stream).counters(locals)
-      Iterator.single(CounterRow(t.method, t.trial, t.unit, t.slot, -1, p.tau.toDouble,
-        p.eta.toDouble)) ++
-        p.nodes.indices.iterator.map(j => CounterRow(t.method, t.trial, t.unit, t.slot,
-          p.nodes(j), p.tauV(j).toDouble, p.etaV(j).toDouble))
-    case MascotName =>
-      val e = new MascotProcessor(1.0 / m, t.seed).processStream(stream)
-      emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
-    case TriestName =>
-      val budget = math.max(2, math.round(nEdges.toDouble / m).toInt)
-      val e = new TriestImprProcessor(budget, t.seed).processStream(stream)
-      emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
-    case GpsName =>
-      val budget = math.max(1, math.round(nEdges.toDouble / (2.0 * m)).toInt)
-      val e = new GpsInStreamProcessor(budget, t.seed).processStream(stream)
-      emitBaseline(t, e.tauHat, if (locals) e.tauVHat else Map.empty[Int, Double])
-    case other => throw new IllegalArgumentException(s"unknown method $other")
-  }
-
-  private def emitBaseline(t: Task, tauHat: Double,
-                           tauVHat: collection.Map[Int, Double]): Iterator[CounterRow] =
-    Iterator.single(CounterRow(t.method, t.trial, t.unit, 0, -1, tauHat, 0.0)) ++
-      tauVHat.iterator.map { case (v, x) => CounterRow(t.method, t.trial, t.unit, 0, v, x, 0.0) }
 }

@@ -1,7 +1,8 @@
 package repro.harness
 
 import repro.{Ref, SparkSpec}
-import repro.baselines.ParallelBaseline
+import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline, TriestImprProcessor}
+import repro.baselines.ParallelBaseline.InstanceResult
 import repro.core.{EdgeStream, Rept}
 
 class TrialHarnessSpec extends SparkSpec {
@@ -13,11 +14,17 @@ class TrialHarnessSpec extends SparkSpec {
   private lazy val edges = Ref.cliquePlusNoise(9, 30, 80, 321)
   private lazy val stream = streamOf(edges)
 
+  /** Parallel baseline reference: the mean of c engines built directly,
+    * instance i seeded with `procSeed(seed, i)`.
+    */
+  private def parallel(c: Int, seed: Long)(engine: Long => InstanceResult): InstanceResult =
+    ParallelBaseline.average((0 until c).map(i => engine(ParallelBaseline.procSeed(seed, i))))
+
   test("config derives the sweep shape") {
     val cfg = Config(5, Seq(2, 5, 12), 3, 1, Seq(ReptName), locals = false)
-    assert(cfg.maxC == 12 && cfg.reptGroups == 3 && cfg.needsEta) // 12 = 2*5+2
+    assert(cfg.maxC == 12 && cfg.needsEta) // 12 = 2*5+2
     val cfg2 = Config(5, Seq(5, 10), 3, 1, Seq(ReptName), locals = false)
-    assert(!cfg2.needsEta && cfg2.reptGroups == 2)
+    assert(!cfg2.needsEta)
     intercept[IllegalArgumentException] { Config(5, Nil, 1, 1, Seq(ReptName), locals = false) }
   }
 
@@ -32,7 +39,6 @@ class TrialHarnessSpec extends SparkSpec {
       val got = res.globals((ReptName, c))(trial)
       assert(math.abs(got - expected) < 1e-9, s"c=$c trial=$trial got=$got exp=$expected")
     }
-    res.raw.unpersist()
   }
 
   test("sweep baseline estimates equal ParallelBaseline runs with matching seeds") {
@@ -42,19 +48,24 @@ class TrialHarnessSpec extends SparkSpec {
     val res = TrialHarness.run(spark, stream, cfg)
     val nE = stream.length
     for (trial <- 0 until cfg.trials; c <- cs) {
-      val tsM = trialSeed(55, MascotName, trial)
-      assert(math.abs(res.globals((MascotName, c))(trial) -
-        ParallelBaseline.runMascot(stream, 1.0 / m, c, tsM).tauHat) < 1e-9)
-      val tsT = trialSeed(55, TriestName, trial)
-      assert(math.abs(res.globals((TriestName, c))(trial) -
-        ParallelBaseline.runTriest(stream, math.max(2, math.round(nE.toDouble / m).toInt),
-          c, tsT).tauHat) < 1e-9)
-      val tsG = trialSeed(55, GpsName, trial)
-      assert(math.abs(res.globals((GpsName, c))(trial) -
-        ParallelBaseline.runGps(stream, math.max(1, math.round(nE / (2.0 * m)).toInt),
-          c, tsG).tauHat) < 1e-9)
+      val mascot = parallel(c, trialSeed(55, MascotName, trial)) { s =>
+        val e = new MascotProcessor(1.0 / m, s).processStream(stream)
+        InstanceResult(e.tauHat, e.tauVHat)
+      }
+      assert(math.abs(res.globals((MascotName, c))(trial) - mascot.tauHat) < 1e-9)
+      val triest = parallel(c, trialSeed(55, TriestName, trial)) { s =>
+        val e = new TriestImprProcessor(math.max(2, math.round(nE.toDouble / m).toInt), s)
+          .processStream(stream)
+        InstanceResult(e.tauHat, e.tauVHat)
+      }
+      assert(math.abs(res.globals((TriestName, c))(trial) - triest.tauHat) < 1e-9)
+      val gps = parallel(c, trialSeed(55, GpsName, trial)) { s =>
+        val e = new GpsInStreamProcessor(math.max(1, math.round(nE / (2.0 * m)).toInt), s)
+          .processStream(stream)
+        InstanceResult(e.tauHat, e.tauVHat)
+      }
+      assert(math.abs(res.globals((GpsName, c))(trial) - gps.tauHat) < 1e-9)
     }
-    res.raw.unpersist()
   }
 
   test("sweep REPT local estimates equal dedicated Rept.run locals") {
@@ -73,7 +84,6 @@ class TrialHarnessSpec extends SparkSpec {
       for ((k, v) <- expected)
         assert(math.abs(got(k) - v) < 1e-9, s"c=$c trial=$trial node=$k")
     }
-    res.raw.unpersist()
   }
 
   test("sweep baseline local estimates equal ParallelBaseline local means") {
@@ -82,21 +92,21 @@ class TrialHarnessSpec extends SparkSpec {
     val cfg = Config(m, Seq(c), 1, 33, Seq(MascotName), locals = true)
     val res = TrialHarness.run(spark, stream, cfg)
     val ts = trialSeed(33, MascotName, 0)
-    val expected = ParallelBaseline.runMascot(stream, 1.0 / m, c, ts).tauVHat
-      .filter(_._2 != 0.0)
+    val expected = parallel(c, ts) { s =>
+      val e = new MascotProcessor(1.0 / m, s).processStream(stream)
+      InstanceResult(e.tauHat, e.tauVHat)
+    }.tauVHat.filter(_._2 != 0.0)
     val got = res.localEstimates(MascotName, c).get.collect()
       .map(r => r.getAs[Int]("node") -> r.getAs[Double]("estimate")).toMap
       .filter(_._2 != 0.0)
     assert(got.keySet == expected.keySet)
     for ((k, v) <- expected) assert(math.abs(got(k) - v) < 1e-9, s"node=$k")
-    res.raw.unpersist()
   }
 
   test("locals=false yields no local estimates") {
     val cfg = Config(3, Seq(2), 1, 1, Seq(ReptName), locals = false)
     val res = TrialHarness.run(spark, stream, cfg)
     assert(res.localEstimates(ReptName, 2).isEmpty)
-    res.raw.unpersist()
   }
 
   test("unknown method names fail fast") {
@@ -104,6 +114,21 @@ class TrialHarnessSpec extends SparkSpec {
     intercept[Exception] {
       TrialHarness.run(spark, stream, cfg).globals
     }
+  }
+
+  test("an unknown method name is rejected before any Spark work") {
+    val cfg = Config(3, Seq(2), 1, 1, Seq(ReptName, "NOPE"), locals = false)
+    intercept[IllegalArgumentException] { TrialHarness.run(spark, stream, cfg) }
+  }
+
+  test("a sweep with locals caches nothing") {
+    val sc = spark.sparkContext
+    val firstNewRdd = sc.emptyRDD[Int].id
+    val cfg = Config(4, Seq(3, 10), 2, 5, Seq(ReptName, MascotName), locals = true)
+    val res = TrialHarness.run(spark, stream, cfg)
+    assert(res.globals((ReptName, 10)).size == 2)
+    for (method <- cfg.methods) assert(res.localEstimates(method, 10).get.collect().nonEmpty)
+    assert(sc.getRDDStorageInfo.filter(_.id >= firstNewRdd).isEmpty)
   }
 
   test("trialSeed decorrelates methods and trials") {
