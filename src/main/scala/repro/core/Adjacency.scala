@@ -47,6 +47,18 @@ final class Adjacency extends Serializable {
   def remove(u: Int, v: Int): Unit =
     if (deleteEdge(EdgeStream.key(u, v))) { unlink(u, v); unlink(v, u) }
 
+  /** The stored edges' keys, in table order. */
+  def edgeKeys: Array[Long] = {
+    val out = new Array[Long](edgeCount)
+    var n = 0
+    var i = 0
+    while (i < edges.length) {
+      if (edges(i) != 0L) { out(n) = edges(i); n += 1 }
+      i += 1
+    }
+    out
+  }
+
   /** Number of nodes with at least one stored neighbour. */
   def nodes: Int = nodeCount
 

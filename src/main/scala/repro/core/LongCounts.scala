@@ -25,6 +25,17 @@ final class LongCounts extends Serializable {
   /** Sets the count of k to x. */
   def update(k: Long, x: Long): Unit = { val i = claim(k); vals(i) = x; grow() }
 
+  /** Sizes this empty map for `n` entries, so that adding them does not
+    * grow it.
+    */
+  def reserve(n: Int): Unit = {
+    require(size == 0, "reserve needs an empty map")
+    var cap = keys.length - 1
+    while (2 * n >= cap) cap *= 2
+    keys = new Array[Long](cap + 1)
+    vals = new Array[Long](cap + 1)
+  }
+
   /** Calls f(key, count) for every entry. */
   def foreachEntry(f: (Long, Long) => Unit): Unit = {
     var i = 0

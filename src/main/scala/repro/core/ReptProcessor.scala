@@ -72,6 +72,44 @@ final class ReptProcessor(
     ReptProcessor.Counters(tauCnt, etaCnt, stored, nodes, tauV, etaV)
   }
 
+  /** This processor's whole state as flat arrays, with `seen` carried along
+    * for the caller: `restore` on a fresh processor of the same
+    * (m, slotId, hashSeed, trackEta) continues from it exactly.
+    */
+  def state(seen: Long): ReptProcessor.State = {
+    val c = counters(locals = true)
+    val edges = adj.edgeKeys
+    ReptProcessor.State(seen, c.tau, c.eta, c.stored, c.nodes, c.tauV,
+      if (trackEta) c.etaV else Array.emptyLongArray, edges,
+      if (trackEta) edges.map(tauEdge(_)) else Array.emptyLongArray)
+  }
+
+  /** Loads `s` into this fresh processor, sizing each counter table once
+    * from its entry count.
+    */
+  def restore(s: ReptProcessor.State): this.type = {
+    require(tauCnt == 0L && stored == 0L, "restore needs a fresh processor")
+    tauCnt = s.tau
+    etaCnt = s.eta
+    stored = s.stored
+    tauVCnt.reserve(s.nodes.length)
+    if (trackEta) { etaVCnt.reserve(s.nodes.length); tauEdge.reserve(s.edges.length) }
+    var j = 0
+    while (j < s.nodes.length) {
+      tauVCnt(s.nodes(j)) = s.tauV(j)
+      if (trackEta) etaVCnt(s.nodes(j)) = s.etaV(j)
+      j += 1
+    }
+    j = 0
+    while (j < s.edges.length) {
+      val k = s.edges(j)
+      adj.add(EdgeStream.keyU(k), EdgeStream.keyV(k))
+      if (trackEta) tauEdge(k) = s.tauEdge(j)
+      j += 1
+    }
+    this
+  }
+
   /** Counts the semi-triangle (u, v, w) at w and, with η tracking, pairs it
     * with the earlier triangles on its edges (u, w) and (v, w).
     */
@@ -117,4 +155,13 @@ object ReptProcessor {
     */
   final case class Counters(tau: Long, eta: Long, stored: Long,
                             nodes: Array[Int], tauV: Array[Long], etaV: Array[Long])
+
+  /** A processor's whole state (`ReptProcessor.state`), flat: `seen`, the
+    * counters as in `Counters` with every τ_v⁽ⁱ⁾ entry, the stored edge keys
+    * E⁽ⁱ⁾ and τ_(u,v)⁽ⁱ⁾ parallel to them. `etaV` and `tauEdge` are empty
+    * without η tracking.
+    */
+  final case class State(seen: Long, tau: Long, eta: Long, stored: Long,
+                         nodes: Array[Int], tauV: Array[Long], etaV: Array[Long],
+                         edges: Array[Long], tauEdge: Array[Long])
 }

@@ -1,9 +1,12 @@
 package repro.streaming
 
 import java.nio.file.Files
+import java.nio.file.attribute.PosixFilePermissions
 
 import org.apache.commons.io.FileUtils
-import org.apache.spark.sql.{Encoders, SparkSession}
+import org.apache.hadoop.fs.{LocalFileSystem, Path, RawLocalFileSystem}
+import org.apache.hadoop.fs.permission.FsPermission
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.{Rept, ReptEstimator, ReptProcessor}
@@ -15,25 +18,28 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * batch partition packs its edges into arrays once and emits one `Pack` row
   * per logical processor: c shuffle rows per partition, not c per edge.
   * `flatMapGroupsWithState` keyed by processor id keeps each processor's
-  * `ReptProcessor` — its sampled edge set E⁽ⁱ⁾ plus counters — as streaming
-  * state across batches (java-serialized), and replays a batch's packs in
-  * global stream order `t` however the batch was split into partitions.
-  * After every batch each processor emits a counter snapshot; the final
-  * snapshots are combined into the paper's estimates exactly like the batch
-  * runner, so a streaming run is bit-identical to `Rept.run` on the same
-  * (m, c, seed).
+  * state across batches as one flat `ReptProcessor.State` row — its sampled
+  * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and replays a
+  * batch's packs in global stream order `t` however the batch was split into
+  * partitions. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
+  * η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the whole stream also
+  * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined into the paper's
+  * estimates exactly like the batch runner, so a streaming run is
+  * bit-identical to `Rept.run` on the same (m, c, seed).
   *
   * Each run checkpoints into its own directory under `java.io.tmpdir`,
-  * deleted after the query stops, through Spark's
-  * `FileSystemBasedCheckpointFileManager`. On a local file system that
-  * manager renames with `File.renameTo`; the default manager renames every
-  * offset, commit and state-store file (and its `.crc`) through Hadoop's
-  * `FileContext`, which without Hadoop's native library forks a `readlink`
-  * process for each. The query also runs at most c state partitions: only c
-  * keys exist, and every further partition would commit an empty state store
-  * each batch. Both settings are applied to the caller's session only while
-  * the query starts (it copies its session's conf then) and restored right
-  * after.
+  * deleted after the query stops, and the query's conf is set so that its
+  * checkpoint I/O starts no process:
+  *  - Spark's `FileSystemBasedCheckpointFileManager` renames with
+  *    `File.renameTo`; the default manager renames every offset, commit and
+  *    state-store file (and its `.crc`) through Hadoop's `FileContext`, which
+  *    without Hadoop's native library forks a `readlink` process for each;
+  *  - `file:` paths go to `ForkFreeLocalFileSystem`, uncached: Hadoop's local
+  *    file system forks `chmod` for every file it creates;
+  *  - at most c state partitions run: only c keys exist, and every further
+  *    partition would commit an empty state store each batch.
+  * These settings are applied to the caller's session only while the query
+  * starts (it copies its session's conf then) and restored right after.
   */
 object ReptStreaming {
 
@@ -42,7 +48,9 @@ object ReptStreaming {
     */
   final case class Pack(proc: Int, ts: Array[Int], keys: Array[Long])
 
-  /** Per-processor counter snapshot emitted after each micro-batch. */
+  /** Per-processor counter snapshot emitted after each micro-batch; its
+    * per-node arrays are empty unless `edgesSeen` is the whole stream.
+    */
   final case class Snapshot(proc: Int, edgesSeen: Long, counters: ReptProcessor.Counters)
 
   /** Result of a completed streaming run. */
@@ -50,16 +58,13 @@ object ReptStreaming {
                                    perProcTau: Array[Long], perProcEta: Array[Long],
                                    snapshotsPerProc: Int)
 
-  /** Wraps ReptProcessor with the edges-seen count needed for snapshots.
-    * Public because the streaming state encoder (java serialization) only
-    * accepts public classes.
-    */
-  final case class ProcHolder(engine: ReptProcessor, var seen: Long)
-
   private val CheckpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
   private val ShufflePartitionsKey = "spark.sql.shuffle.partitions"
   private val LocalCheckpointManager =
     "org.apache.spark.sql.execution.streaming.checkpointing.FileSystemBasedCheckpointFileManager"
+  private val LocalFsKey = "fs.file.impl"
+  // Hadoop caches one file system per scheme, whatever `fs.file.impl` says.
+  private val LocalFsNoCacheKey = "fs.file.impl.disable.cache"
 
   /** Run REPT over `stream` fed in `batchSize`-edge micro-batches.
     * Deterministic in (m, c, seed) and independent of batchSize.
@@ -75,11 +80,8 @@ object ReptStreaming {
 
     import spark.implicits._
     val source = MemoryStream[(Int, Long)](spark)
-    // Java serialization for state: ReptProcessor, its primitive-array
-    // adjacency and counter maps are plainly Serializable, which kryo's
-    // field serializer is not guaranteed to handle.
-    implicit val stateEnc: org.apache.spark.sql.Encoder[ProcHolder] =
-      Encoders.javaSerialization[ProcHolder]
+    // Only the length goes into the state function's closure, not the stream.
+    val total = stream.length.toLong
 
     val snapshots = source.toDS()
       .mapPartitions { rows =>
@@ -92,21 +94,21 @@ object ReptStreaming {
         }
       }
       .groupByKey(_.proc)
-      .flatMapGroupsWithState[ProcHolder, Snapshot](
+      .flatMapGroupsWithState[ReptProcessor.State, Snapshot](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
-        (proc: Int, packs: Iterator[Pack], state: GroupState[ProcHolder]) =>
-          val holder = if (state.exists) state.get else {
-            ProcHolder(Rept.processor(lay, seed, proc), 0L)
-          }
-          replay(holder, packs)
-          state.update(holder)
-          Iterator.single(Snapshot(proc, holder.seen, holder.engine.counters(locals = true)))
+        (proc: Int, packs: Iterator[Pack], state: GroupState[ReptProcessor.State]) =>
+          val p = Rept.processor(lay, seed, proc)
+          val before = if (state.exists) { val s = state.get; p.restore(s); s.seen } else 0L
+          val seen = before + replay(p, packs)
+          state.update(p.state(seen))
+          Iterator.single(Snapshot(proc, seen, p.counters(locals = seen == total)))
       }
 
     val queryName = s"rept_snapshots_${System.nanoTime()}"
     val checkpoint = Files.createTempDirectory("rept-stream-").toFile
     try {
       val query = withConf(spark, CheckpointManagerKey -> LocalCheckpointManager,
+        LocalFsKey -> classOf[ForkFreeLocalFileSystem].getName, LocalFsNoCacheKey -> "true",
         ShufflePartitionsKey -> math.min(c, spark.conf.get(ShufflePartitionsKey).toInt).toString) {
         snapshots.writeStream
           .format("memory")
@@ -129,10 +131,11 @@ object ReptStreaming {
     combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length / c)
   }
 
-  /** Feed one micro-batch's packs to a processor in global stream order `t`.
-    * The packs may arrive in any order and their `t` ranges may interleave.
+  /** Feed one micro-batch's packs to a processor in global stream order `t`
+    * and return the number of edges fed. The packs may arrive in any order
+    * and their `t` ranges may interleave.
     */
-  def replay(holder: ProcHolder, packs: Iterator[Pack]): Unit = {
+  def replay(proc: ReptProcessor, packs: Iterator[Pack]): Long = {
     val ps = packs.toArray
     // t is an array index, so (t << 32 | position) sorts by t as a primitive.
     val order = new Array[Long](ps.iterator.map(_.ts.length).sum)
@@ -144,8 +147,8 @@ object ReptStreaming {
       n += 1
     }
     java.util.Arrays.sort(order)
-    holder.engine.processStream(order.map(o => keys(o.toInt)))
-    holder.seen += n
+    proc.processStream(order.map(o => keys(o.toInt)))
+    n
   }
 
   /** Combine final per-processor snapshots into the paper's estimates;
@@ -170,3 +173,16 @@ object ReptStreaming {
     }
   }
 }
+
+/** Hadoop's local file system, except that `setPermission` sets the
+  * permission bits through `java.nio.file.Files.setPosixFilePermissions`
+  * instead of forking `chmod` (which Hadoop does without its native library
+  * for every file it creates). A sticky bit, which NIO cannot set, still goes
+  * through Hadoop.
+  */
+final class ForkFreeLocalFileSystem extends LocalFileSystem(new RawLocalFileSystem {
+  override def setPermission(p: Path, perm: FsPermission): Unit =
+    if (perm.getStickyBit) super.setPermission(p, perm)
+    else Files.setPosixFilePermissions(pathToFile(p).toPath, PosixFilePermissions.fromString(
+      perm.getUserAction.SYMBOL + perm.getGroupAction.SYMBOL + perm.getOtherAction.SYMBOL))
+})

@@ -2,6 +2,7 @@ package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
+import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ref
 import repro.baselines.{GpsInStreamProcessor, TriestImprProcessor}
@@ -219,7 +220,7 @@ class ReptProcessorSpec extends AnyFunSuite {
     assert(p.counters(locals = false).stored == p.sampledEdges)
   }
 
-  /** Java-serialises an engine and reads it back, as a streaming checkpoint does. */
+  /** Java-serialises an engine and reads it back. */
   private def roundTrip[T <: AnyRef](x: T): T = {
     val bytes = new ByteArrayOutputStream
     val out = new ObjectOutputStream(bytes)
@@ -239,6 +240,37 @@ class ReptProcessorSpec extends AnyFunSuite {
     assert(a.nodes.toSeq == b.nodes.toSeq && a.tauV.toSeq == b.tauV.toSeq && a.etaV.toSeq == b.etaV.toSeq)
     assert(whole.tauEdgeCounters == resumed.tauEdgeCounters)
     assert(whole.sampledEdges == resumed.sampledEdges)
+  }
+
+  test("a state passed through the streaming query's encoder at several cuts finishes like an uninterrupted run") {
+    val enc = ExpressionEncoder[ReptProcessor.State]()
+    val (toRow, fromRow) = (enc.createSerializer(), enc.resolveAndBind().createDeserializer())
+    // A triangle-rich graph whose clique holds the extreme node ids.
+    val ids = Map(0 -> 0, 1 -> -1, 2 -> Int.MinValue, 3 -> Int.MaxValue)
+    val stream = streamOf(Ref.cliquePlusNoise(30, 400, 1500, 8).map { case (u, v) =>
+      (ids.getOrElse(u, u * 7919 - 1000000), ids.getOrElse(v, v * 7919 - 1000000))
+    })
+    val cuts = Seq(0, 0, 1, stream.length / 7, stream.length / 2, stream.length - 1, stream.length)
+    for (m <- Seq(1, 3, 10); eta <- Seq(false, true); slot <- Seq(0, m - 1)) {
+      val whole = new ReptProcessor(m, slot, 41, eta).processStream(stream)
+      var p = new ReptProcessor(m, slot, 41, eta)
+      for (Seq(from, to) <- cuts.sliding(2)) {
+        p.processStream(stream.slice(from, to))
+        val s = fromRow(toRow(p.state(to.toLong)).copy())
+        assert(s.seen == to)
+        p = new ReptProcessor(m, slot, 41, eta).restore(s)
+      }
+      val (a, b) = (whole.counters(locals = true), p.counters(locals = true))
+      val at = s"m=$m slot=$slot eta=$eta"
+      assert(a.tau > 0 && (!eta || a.eta > 0), at)
+      assert((a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored), at)
+      def locals(r: ReptProcessor.Counters) = r.nodes.indices.map(j => (r.nodes(j), r.tauV(j), r.etaV(j))).sorted
+      assert(locals(a) == locals(b), at)
+      if (m == 1) assert(ids.values.forall(v => a.nodes.contains(v)), at)
+      assert(whole.tauV == p.tauV && whole.etaV == p.etaV, at)
+      assert(whole.tauEdgeCounters == p.tauEdgeCounters, at)
+      assert(whole.sampledEdges == p.sampledEdges, at)
+    }
   }
 
   test("Trièst and GPS java-serialised mid-stream finish with the bits of an uninterrupted run") {

@@ -21,6 +21,8 @@ class ReptStreamingSpec extends SparkSpec {
 
   private val checkpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
   private val shufflePartitionsKey = "spark.sql.shuffle.partitions"
+  private val localFsKey = "fs.file.impl"
+  private val localFsNoCacheKey = "fs.file.impl.disable.cache"
 
   private def streamOf(edges: Seq[(Int, Int)]): Array[Long] =
     edges.map { case (u, v) => EdgeStream.key(u, v) }.toArray
@@ -99,10 +101,9 @@ class ReptStreamingSpec extends SparkSpec {
         val ts = stream.indices.filter(_ % 3 == r).toArray
         ReptStreaming.Pack(p, ts, ts.map(stream(_)))
       }
-      val holder = ReptStreaming.ProcHolder(Rept.processor(lay, 23, p), 0L)
-      ReptStreaming.replay(holder, packs.iterator)
-      val got = holder.engine.counters(locals = true)
-      assert(holder.seen == stream.length)
+      val proc = Rept.processor(lay, 23, p)
+      assert(ReptStreaming.replay(proc, packs.iterator) == stream.length)
+      val got = proc.counters(locals = true)
       assert((got.tau, got.eta, got.stored) == (expected.tau, expected.eta, expected.stored), s"proc $p")
       assert(got.nodes.toSeq == expected.nodes.toSeq)
       assert(got.tauV.toSeq == expected.tauV.toSeq)
@@ -110,7 +111,8 @@ class ReptStreamingSpec extends SparkSpec {
     }
   }
 
-  test("the query runs min(c, spark.sql.shuffle.partitions) state partitions") {
+  /** The progress events of the streaming query that `run` starts. */
+  private def progressOf(run: => Any): Seq[StreamingQueryProgress] = {
     val started = new ConcurrentLinkedQueue[UUID]
     val terminated = new ConcurrentLinkedQueue[UUID]
     val progress = new ConcurrentLinkedQueue[StreamingQueryProgress]
@@ -119,23 +121,28 @@ class ReptStreamingSpec extends SparkSpec {
       override def onQueryProgress(e: QueryProgressEvent): Unit = progress.add(e.progress)
       override def onQueryTerminated(e: QueryTerminatedEvent): Unit = terminated.add(e.id)
     }
-    val c = 3
-    val expected = math.min(c, spark.conf.get(shufflePartitionsKey).toInt)
     spark.streams.addListener(listener)
     try {
-      ReptStreaming.run(spark, stream, 4, c, 19, batchSize = 40)
+      run
       // Events arrive in order, so the last query started is this run's.
       eventually(timeout(30.seconds)) {
         assert(!started.isEmpty && terminated.asScala.toSet.contains(started.asScala.last))
       }
       val ours = progress.asScala.filter(_.id == started.asScala.last).toSeq
       assert(ours.nonEmpty)
-      for (p <- ours) assert(p.stateOperators(0).numShufflePartitions == expected)
+      ours
     } finally spark.streams.removeListener(listener)
   }
 
-  test("a run leaves the caller's checkpoint manager and shuffle partitions as they were") {
-    val keys = Seq(checkpointManagerKey, shufflePartitionsKey)
+  test("the query runs min(c, spark.sql.shuffle.partitions) state partitions") {
+    val c = 3
+    val expected = math.min(c, spark.conf.get(shufflePartitionsKey).toInt)
+    val ours = progressOf(ReptStreaming.run(spark, stream, 4, c, 19, batchSize = 40))
+    for (p <- ours) assert(p.stateOperators(0).numShufflePartitions == expected)
+  }
+
+  test("a run leaves the caller's checkpoint manager, shuffle partitions and local file system as they were") {
+    val keys = Seq(checkpointManagerKey, shufflePartitionsKey, localFsKey, localFsNoCacheKey)
     def conf(): Map[String, Option[String]] = keys.map(k => k -> spark.conf.getAll.get(k)).toMap
     def assertUnchangedByRun(): Unit = {
       val before = conf()
@@ -149,6 +156,8 @@ class ReptStreamingSpec extends SparkSpec {
       spark.conf.set(checkpointManagerKey,
         "org.apache.spark.sql.execution.streaming.checkpointing.FileContextBasedCheckpointFileManager")
       spark.conf.set(shufflePartitionsKey, "5")
+      spark.conf.set(localFsKey, "org.apache.hadoop.fs.LocalFileSystem")
+      spark.conf.set(localFsNoCacheKey, "false")
       assertUnchangedByRun()
     } finally saved.foreach {
       case (k, Some(v)) => spark.conf.set(k, v)
@@ -156,7 +165,7 @@ class ReptStreamingSpec extends SparkSpec {
     }
   }
 
-  test("a run forks no readlink process") {
+  test("a run forks no readlink or chmod process") {
     val rec = new Recording()
     rec.enable("jdk.ProcessStart")
     rec.start()
@@ -167,11 +176,22 @@ class ReptStreamingSpec extends SparkSpec {
       rec.dump(file)
       val commands = RecordingFile.readAllEvents(file).asScala
         .filter(_.getEventType.getName == "jdk.ProcessStart").map(_.getString("command"))
-      assert(!commands.exists(_.startsWith("readlink")),
-        s"${commands.count(_.startsWith("readlink"))} readlink starts")
+      for (cmd <- Seq("readlink", "chmod"))
+        assert(!commands.exists(_.startsWith(cmd)), s"${commands.count(_.startsWith(cmd))} $cmd starts")
     } finally {
       rec.close()
       Files.deleteIfExists(file)
     }
+  }
+
+  test("the final state takes about p|E| edge keys and the nonzero tau_v, not a serialised processor") {
+    val big = streamOf(Ref.cliquePlusNoise(40, 3000, 20000, 71))
+    val (m, c, seed) = (4, 2, 37L)
+    val lay = ReptEstimator.Layout(m, c)
+    val procs = (0 until c).map(Rept.processor(lay, seed, _).processStream(big).counters(locals = true))
+    val bound = 32L * procs.map(_.stored).sum + 64L * procs.map(_.nodes.length).sum + 16384L * c
+    val last = progressOf(ReptStreaming.run(spark, big, m, c, seed, batchSize = 6000)).maxBy(_.batchId)
+    val used = last.stateOperators.map(_.memoryUsedBytes).sum
+    assert(used > 0 && used <= bound, s"state $used B against a bound of $bound B")
   }
 }
