@@ -28,11 +28,15 @@ object Rept {
   def groupSeed(baseSeed: Long, group: Int): Long =
     EdgeStream.mix64(baseSeed ^ (0x5851f42d4c957f2dL * (group + 1)))
 
-  /** Processor i of Layout(m, c): slot i mod m of group i / m (for c ≤ m,
-    * slot i of the single group 0), tracking η when the layout needs it.
+  /** Processor i of any REPT(1/m, c) run: slot i mod m of group i / m (for
+    * c ≤ m, slot i of the single group 0), tracking η when `trackEta` is set.
     */
+  def processor(m: Int, seed: Long, i: Int, trackEta: Boolean): ReptProcessor =
+    new ReptProcessor(m, i % m, groupSeed(seed, i / m), trackEta)
+
+  /** Processor i of Layout(m, c), tracking η when the layout needs it. */
   def processor(lay: ReptEstimator.Layout, seed: Long, i: Int): ReptProcessor =
-    new ReptProcessor(lay.m, i % lay.m, groupSeed(seed, i / lay.m), lay.needsEta)
+    processor(lay.m, seed, i, lay.needsEta)
 
   /** Run REPT(p = 1/m, c) over a packed-key stream. */
   def run(stream: Array[Long], m: Int, c: Int, seed: Long, locals: Boolean = true): Result = {

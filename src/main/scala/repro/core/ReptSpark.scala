@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Spark runner for one REPT(1/m, c) pass: one task per processor. Task i
@@ -24,14 +26,23 @@ object ReptSpark {
           locals: Boolean = true): SparkResult = {
     import spark.implicits._
     val lay = ReptEstimator.Layout(m, c)
-    val bc = spark.sparkContext.broadcast(stream)
-    val counters = try {
-      spark.sparkContext.parallelize(0 until c, c)
-        .map(i => Rept.processor(lay, seed, i).processStream(bc.value).counters(locals))
-        .collect()
-    } finally bc.destroy()
-    val r = Rept.combine(lay, counters.toIndexedSeq)
+    val r = Rept.combine(lay, fanOut(spark, stream, 0 until c) { (i, s) =>
+      Rept.processor(lay, seed, i).processStream(s).counters(locals)
+    })
     val localsDf = if (locals) Some(r.tauVHat.toSeq.toDF("node", "estimate")) else None
     SparkResult(r.tauHat, localsDf, r.perProcTau, r.perProcEta, r.perProcStored)
+  }
+
+  /** The one Spark fan-out of every driver: broadcasts `stream`, runs
+    * `f(unit, stream)` for each unit as a task over min(|units|, 256)
+    * partitions, and returns the results in unit order. The broadcast is
+    * destroyed when the results are in, or on failure.
+    */
+  def fanOut[U: ClassTag, R: ClassTag](spark: SparkSession, stream: Array[Long], units: Seq[U])
+                                      (f: (U, Array[Long]) => R): IndexedSeq[R] = {
+    val bc = spark.sparkContext.broadcast(stream)
+    try spark.sparkContext.parallelize(units, math.min(units.size, 256))
+      .map(u => f(u, bc.value)).collect().toIndexedSeq
+    finally bc.destroy()
   }
 }

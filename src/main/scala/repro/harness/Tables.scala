@@ -3,11 +3,11 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{GpsInStreamProcessor, MascotProcessor, ParallelBaseline,
   TriestImprProcessor}
-import repro.core.ReptProcessor
+import repro.core.{EdgeStream, Rept, ReptSpark}
 import repro.stats.ErrorMetrics
 
 /** Builders for every reproduced table (Table II and each evaluation figure
-  * rendered as a table), shared by the spark-submit jobs and the bench
+  * rendered as a table), shared by `repro.jobs.Cli` and the bench
   * suites. Each builder returns structured points; `render` turns them into
   * the aligned text tables recorded in EXPERIMENTS.md.
   */
@@ -93,16 +93,18 @@ object Tables {
     val stream = BenchGraphs.stream(spark, graph)
     val baselines = Seq(TrialHarness.MascotName, TrialHarness.TriestName, TrialHarness.GpsName)
     ms.flatMap { m =>
-      val rept = RuntimePoint(TrialHarness.ReptName, m, timeBestOf(reps) { () =>
-        new ReptProcessor(m, 0, seed).processStream(stream); ()
-      })
-      rept +: baselines.map { method =>
-        RuntimePoint(method, m, timeBestOf(reps) { () =>
+      RuntimePoint(TrialHarness.ReptName, m, reptPassTime(stream, m, seed, reps)) +:
+        baselines.map(method => RuntimePoint(method, m, timeBestOf(reps) { () =>
           ParallelBaseline.instance(method, m, stream, seed, locals = false); ()
-        })
-      }
+        }))
     }
   }
+
+  /** Best-of-`reps` time of the one REPT pass Figures 7 and 8 report: processor
+    * 0 of REPT(1/m, c ≤ m) without η tracking.
+    */
+  private def reptPassTime(stream: Array[Long], m: Int, seed: Long, reps: Int): Double =
+    timeBestOf(reps) { () => Rept.processor(m, seed, 0, trackEta = false).processStream(stream); () }
 
   // ------------------------------------ Figure 8 (vs single-threaded, same memory)
 
@@ -123,29 +125,20 @@ object Tables {
     // Accuracy: REPT via the sweep harness; singles via trial fan-out.
     val reptRes = TrialHarness.run(spark, stream,
       TrialHarness.Config(m, cs, trials, seed, Seq(TrialHarness.ReptName), locals = false))
-    val bc = spark.sparkContext.broadcast(stream)
     val singleNames = Seq("MASCOT-S", "TRIEST-S", "GPS-S")
     val singleTasks = for (c <- cs; method <- singleNames; trial <- 0 until trials)
       yield (c, method, trial)
-    val singleEst = try {
-      spark.sparkContext.parallelize(singleTasks, math.min(singleTasks.size, 256))
-        .map { case (c, method, trial) =>
-          val s = repro.core.EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
-            (c.toLong << 16) ^ trial.toLong)
-          (c, method, trial, single(method, m, c, bc.value, s))
-        }
-        .collect()
-    } finally bc.destroy()
+    val singleEst = singleTasks.zip(ReptSpark.fanOut(spark, stream, singleTasks) {
+      case ((c, method, trial), s) =>
+        single(method, m, c, s, EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
+          (c.toLong << 16) ^ trial.toLong))
+    }).toMap
 
     cs.flatMap { c =>
-      val reptTime = timeBestOf(timeReps) { () =>
-        new ReptProcessor(m, 0, seed).processStream(stream); ()
-      } * math.ceil(c.toDouble / cores)
+      val reptTime = reptPassTime(stream, m, seed, timeReps) * math.ceil(c.toDouble / cores)
       def point(method: String) = SingleThreadPoint(method, c,
         timeBestOf(timeReps) { () => single(method, m, c, stream, seed); () },
-        ErrorMetrics.nrmse(
-          singleEst.filter(r => r._1 == c && r._2 == method).sortBy(_._3).map(_._4).toSeq,
-          info.tau.toDouble))
+        ErrorMetrics.nrmse((0 until trials).map(t => singleEst((c, method, t))), info.tau.toDouble))
       SingleThreadPoint(TrialHarness.ReptName, c, reptTime,
         ErrorMetrics.nrmse(reptRes.globals((TrialHarness.ReptName, c)), info.tau.toDouble)) +:
         singleNames.map(point)

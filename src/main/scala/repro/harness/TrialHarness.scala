@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.ParallelBaseline
 import repro.baselines.ParallelBaseline.InstanceResult
-import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
+import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor, ReptSpark}
 
 /** Repeated-trial experiment runner behind every accuracy table.
   *
@@ -16,7 +16,7 @@ import repro.core.{EdgeStream, Rept, ReptEstimator, ReptProcessor}
   * parallel estimate is the mean over processor prefix 0..c−1.
   *
   * Work units (one REPT processor or one baseline engine pass each) across
-  * all methods and trials are Spark tasks over the broadcast edge stream;
+  * all methods and trials are fanned out as Spark tasks (`ReptSpark.fanOut`);
   * each returns one typed record (`ReptProcessor.Counters` or
   * `ParallelBaseline.InstanceResult`), collected once and combined on the
   * driver by the functions every other driver uses: `estimateGlobal` and
@@ -97,20 +97,14 @@ object TrialHarness {
     val keys = for (method <- cfg.methods; trial <- 0 until cfg.trials) yield (method, trial)
     val units = for ((method, trial) <- keys; i <- 0 until cfg.maxC) yield (method, trial, i)
     val (m, needsEta, locals, seed) = (cfg.m, cfg.needsEta, cfg.locals, cfg.seed)
-    val bc = spark.sparkContext.broadcast(stream)
-    val out = try {
-      spark.sparkContext.parallelize(units, math.min(units.size, 256))
-        .map { case (method, trial, i) =>
-          val ts = trialSeed(seed, method, trial)
-          if (method == ReptName)
-            Left(new ReptProcessor(m, i % m, Rept.groupSeed(ts, i / m), needsEta)
-              .processStream(bc.value).counters(locals)): Record
-          else Right(ParallelBaseline.instance(method, m, bc.value,
-            ParallelBaseline.procSeed(ts, i), locals)): Record
-        }
-        .collect()
-    } finally bc.destroy()
-    // collect() keeps the units' order: maxC consecutive records per key.
-    Result(spark, cfg, keys.zip(out.toIndexedSeq.grouped(cfg.maxC)).toMap)
+    val out = ReptSpark.fanOut(spark, stream, units) { case ((method, trial, i), s) =>
+      val ts = trialSeed(seed, method, trial)
+      if (method == ReptName)
+        Left(Rept.processor(m, ts, i, needsEta).processStream(s).counters(locals)): Record
+      else Right(ParallelBaseline.instance(method, m, s, ParallelBaseline.procSeed(ts, i),
+        locals)): Record
+    }
+    // fanOut keeps the units' order: maxC consecutive records per key.
+    Result(spark, cfg, keys.zip(out.grouped(cfg.maxC)).toMap)
   }
 }

@@ -23,9 +23,9 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * batch's packs in global stream order `t` however the batch was split into
   * partitions. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
   * η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the whole stream also
-  * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined into the paper's
-  * estimates exactly like the batch runner, so a streaming run is
-  * bit-identical to `Rept.run` on the same (m, c, seed).
+  * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined by `Rept.combine`
+  * into the batch runner's `Rept.Result`, so a streaming run is bit-identical
+  * to `Rept.run` on the same (m, c, seed).
   *
   * Each run checkpoints into its own directory under `java.io.tmpdir`,
   * deleted after the query stops, and the query's conf is set so that its
@@ -53,11 +53,6 @@ object ReptStreaming {
     */
   final case class Snapshot(proc: Int, edgesSeen: Long, counters: ReptProcessor.Counters)
 
-  /** Result of a completed streaming run. */
-  final case class StreamingResult(tauHat: Double, tauVHat: Map[Int, Double],
-                                   perProcTau: Array[Long], perProcEta: Array[Long],
-                                   snapshotsPerProc: Int)
-
   private val CheckpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
   private val ShufflePartitionsKey = "spark.sql.shuffle.partitions"
   private val LocalCheckpointManager =
@@ -70,13 +65,11 @@ object ReptStreaming {
     * Deterministic in (m, c, seed) and independent of batchSize.
     */
   def run(spark: SparkSession, stream: Array[Long], m: Int, c: Int, seed: Long,
-          batchSize: Int): StreamingResult = {
+          batchSize: Int): Rept.Result = {
     require(batchSize >= 1, s"batchSize must be >= 1, got $batchSize")
     val lay = ReptEstimator.Layout(m, c)
     // No batch ever runs on an empty stream: every processor stays fresh.
-    if (stream.isEmpty)
-      return combine(lay, (0 until c).map(p =>
-        Snapshot(p, 0L, Rept.processor(lay, seed, p).counters(locals = true))), 0)
+    if (stream.isEmpty) return Rept.run(stream, m, c, seed)
 
     import spark.implicits._
     val source = MemoryStream[(Int, Long)](spark)
@@ -125,10 +118,10 @@ object ReptStreaming {
       } finally query.stop()
     } finally FileUtils.deleteQuietly(checkpoint)
 
-    val all = spark.table(queryName).as[Snapshot].collect()
-    val finalSnaps = all.groupBy(_.proc).map { case (_, snaps) => snaps.maxBy(_.edgesSeen) }
-    // Every processor sees every batch, so each emits all.length / c snapshots.
-    combine(lay, finalSnaps.toSeq.sortBy(_.proc), all.length / c)
+    val finalSnaps = spark.table(queryName).as[Snapshot].collect()
+      .groupBy(_.proc).values.map(_.maxBy(_.edgesSeen)).toSeq.sortBy(_.proc)
+    // Only keys 0..c−1 exist, so c final snapshots means one per processor.
+    Rept.combine(lay, finalSnaps.map(_.counters))
   }
 
   /** Feed one micro-batch's packs to a processor in global stream order `t`
@@ -149,15 +142,6 @@ object ReptStreaming {
     java.util.Arrays.sort(order)
     proc.processStream(order.map(o => keys(o.toInt)))
     n
-  }
-
-  /** Combine final per-processor snapshots into the paper's estimates;
-    * `snapshotsPerProc` is the number of snapshots one processor emitted.
-    */
-  def combine(lay: ReptEstimator.Layout, snaps: Seq[Snapshot], snapshotsPerProc: Int): StreamingResult = {
-    require(snaps.map(_.proc) == (0 until lay.c), s"missing processors: got ${snaps.map(_.proc)}")
-    val r = Rept.combine(lay, snaps.map(_.counters))
-    StreamingResult(r.tauHat, r.tauVHat, r.perProcTau, r.perProcEta, snapshotsPerProc)
   }
 
   /** Run `body` with the session conf keys set to the given values, then

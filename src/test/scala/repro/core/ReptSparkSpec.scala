@@ -15,6 +15,8 @@ class ReptSparkSpec extends SparkSpec {
     val par = ReptSpark.run(spark, stream, m, c, seed)
     assert(par.tauHat == seq.tauHat, s"global m=$m c=$c")
     assert(par.perProcTau.toSeq == seq.perProcTau.toSeq, s"perProcTau m=$m c=$c")
+    assert(par.perProcEta.toSeq == seq.perProcEta.toSeq, s"perProcEta m=$m c=$c")
+    assert(par.perProcStored.toSeq == seq.perProcStored.toSeq, s"perProcStored m=$m c=$c")
     val gotLocals = par.locals.get.collect()
       .map(r => r.getAs[Int]("node") -> r.getAs[Double]("estimate")).toMap
       .filter(_._2 != 0.0)
@@ -40,6 +42,11 @@ class ReptSparkSpec extends SparkSpec {
 
   test("Spark runner equals sequential: c > m with leftover group") {
     assertMatchesSequential(3, 8, 13)
+  }
+
+  test("Spark runner equals sequential with more processors than partitions: c = 300 > 256") {
+    // 256 partitions hold 300 processors; results must still come back in processor order.
+    assertMatchesSequential(7, 300, 23)
   }
 
   test("Spark runner locals=false returns no DataFrame") {

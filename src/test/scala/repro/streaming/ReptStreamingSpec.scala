@@ -36,6 +36,7 @@ class ReptStreamingSpec extends SparkSpec {
     assert(live.tauHat == batch.tauHat, s"global m=$m c=$c batch=$batchSize")
     assert(live.perProcTau.toSeq == batch.perProcTau.toSeq)
     assert(live.perProcEta.toSeq == batch.perProcEta.toSeq)
+    assert(live.perProcStored.toSeq == batch.perProcStored.toSeq)
     val expected = batch.tauVHat.filter(_._2 != 0.0)
     val got = live.tauVHat.filter(_._2 != 0.0)
     assert(got.keySet == expected.keySet)
@@ -63,25 +64,31 @@ class ReptStreamingSpec extends SparkSpec {
   }
 
   test("state persists across many tiny batches") {
-    val r = ReptStreaming.run(spark, stream, 1, 1, 3, batchSize = 13)
-    assert(r.tauHat == Ref.tau(edges).toDouble)
-    assert(r.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
-    val multi = ReptStreaming.run(spark, stream, 1, 2, 3, batchSize = 13)
-    assert(multi.tauHat == Ref.tau(edges).toDouble)
-    assert(multi.snapshotsPerProc == math.ceil(stream.length / 13.0).toInt)
+    for (c <- Seq(1, 2)) {
+      val (r, queries) = queriesOf(ReptStreaming.run(spark, stream, 1, c, 3, batchSize = 13))
+      assert(r.tauHat == Ref.tau(edges).toDouble, s"c=$c")
+      val batches = queries.last.filter(_.numInputRows > 0)
+      assert(batches.size == math.ceil(stream.length / 13.0).toInt, s"c=$c")
+      for (b <- batches) assert(b.sink.numOutputRows == c, s"c=$c batch ${b.batchId}")
+    }
   }
 
   test("an empty stream gives Rept.run's answer, for c <= m and c > m with a leftover group") {
-    for ((m, c) <- Seq((4, 3), (2, 5))) {
-      val batch = Rept.run(Array.empty[Long], m, c, 29)
-      val live = ReptStreaming.run(spark, Array.empty[Long], m, c, 29, batchSize = 10)
-      assert(live.tauHat == batch.tauHat, s"m=$m c=$c")
-      assert(live.tauHat == 0.0)
-      assert(live.perProcTau.toSeq == Seq.fill(c)(0L))
-      assert(live.perProcEta.toSeq == Seq.fill(c)(0L))
-      assert(live.tauVHat.isEmpty && batch.tauVHat.isEmpty)
-      assert(live.snapshotsPerProc == 0)
+    val (_, queries) = queriesOf {
+      for ((m, c) <- Seq((4, 3), (2, 5))) {
+        val batch = Rept.run(Array.empty[Long], m, c, 29)
+        val live = ReptStreaming.run(spark, Array.empty[Long], m, c, 29, batchSize = 10)
+        assert(live.tauHat == batch.tauHat, s"m=$m c=$c")
+        assert(live.tauHat == 0.0)
+        assert(live.perProcTau.toSeq == Seq.fill(c)(0L))
+        assert(live.perProcEta.toSeq == Seq.fill(c)(0L))
+        assert(live.perProcStored.toSeq == Seq.fill(c)(0L))
+        assert(live.tauVHat.isEmpty && batch.tauVHat.isEmpty)
+      }
+      // A marker query: once it has terminated, every earlier start event is in.
+      ReptStreaming.run(spark, stream, 3, 2, 5, batchSize = stream.length)
     }
+    assert(queries.size == 1, "the empty runs started a streaming query")
   }
 
   test("batchSize 0 is rejected before any query starts") {
@@ -111,8 +118,10 @@ class ReptStreamingSpec extends SparkSpec {
     }
   }
 
-  /** The progress events of the streaming query that `run` starts. */
-  private def progressOf(run: => Any): Seq[StreamingQueryProgress] = {
+  /** `run`'s value and, per streaming query it started (in start order), that
+    * query's progress events.
+    */
+  private def queriesOf[A](run: => A): (A, Seq[Seq[StreamingQueryProgress]]) = {
     val started = new ConcurrentLinkedQueue[UUID]
     val terminated = new ConcurrentLinkedQueue[UUID]
     val progress = new ConcurrentLinkedQueue[StreamingQueryProgress]
@@ -123,15 +132,21 @@ class ReptStreamingSpec extends SparkSpec {
     }
     spark.streams.addListener(listener)
     try {
-      run
-      // Events arrive in order, so the last query started is this run's.
+      val value = run
+      // Events arrive in order: once the last query started has terminated,
+      // every event of every earlier query is in too.
       eventually(timeout(30.seconds)) {
         assert(!started.isEmpty && terminated.asScala.toSet.contains(started.asScala.last))
       }
-      val ours = progress.asScala.filter(_.id == started.asScala.last).toSeq
-      assert(ours.nonEmpty)
-      ours
+      (value, started.asScala.toSeq.map(id => progress.asScala.filter(_.id == id).toSeq))
     } finally spark.streams.removeListener(listener)
+  }
+
+  /** The progress events of the last streaming query that `run` starts. */
+  private def progressOf(run: => Any): Seq[StreamingQueryProgress] = {
+    val ours = queriesOf(run)._2.last
+    assert(ours.nonEmpty)
+    ours
   }
 
   test("the query runs min(c, spark.sql.shuffle.partitions) state partitions") {
