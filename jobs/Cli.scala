@@ -49,10 +49,13 @@ object Cli {
       try run(spark) finally spark.stop()
   }
 
-  /** Session for a command: spark-submit's master, else local[*] (e.g. from sbt). */
+  /** Session for a command: spark-submit's master, else local[*] (e.g. from
+    * sbt), logging at WARN so that a command's output is its result lines.
+    */
   def session(app: String): SparkSession = {
     val b = SparkSession.builder().appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.log.level", "WARN")
     (if (sys.props.contains("spark.master")) b
      else b.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))).getOrCreate()
   }

@@ -37,11 +37,11 @@ final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine 
 
   private val countSemi: Adjacency.Visitor = (_, _, w) => semiV.add(w, 1)
 
-  def processEdge(u: Int, v: Int): Unit = {
+  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
     if (u == v) return
-    val k = adj.forEachCommon(u, v, countSemi)
+    val k = adj.forEachCommon(u, v, du, dv, countSemi)
     if (k > 0) { semi += k; semiV.add(u, k); semiV.add(v, k) }
     // One draw per edge, whether or not (u, v) is already stored.
-    if (rng.nextDouble() < p && adj.add(u, v)) stored += 1
+    if (rng.nextDouble() < p && adj.add(u, v, du, dv)) stored += 1
   }
 }

@@ -24,23 +24,24 @@ object ParallelBaseline {
   /** One instance of `method` at the memory of REPT(p = 1/m), per Section
     * IV-B: MASCOT samples with p = 1/m; Trièst gets budget |E|/m; GPS gets
     * |E|/(2m) (weights cost the other half of its memory). Local estimates
-    * are kept only when `locals` is set.
+    * are kept only when `locals` is set; `dense` is the run's
+    * `EdgeStream.relabel(stream)`.
     */
-  def instance(method: String, m: Int, stream: Array[Long], seed: Long,
-               locals: Boolean): InstanceResult = {
+  def instance(method: String, m: Int, stream: Array[Long], dense: EdgeStream.Relabel,
+               seed: Long, locals: Boolean): InstanceResult = {
     def result(tauHat: Double, tauVHat: => collection.Map[Int, Double]) =
       InstanceResult(tauHat, if (locals) tauVHat else Map.empty[Int, Double])
     method match {
       case MascotName =>
-        val e = new MascotProcessor(1.0 / m, seed).processStream(stream)
+        val e = new MascotProcessor(1.0 / m, seed).processStream(stream, dense)
         result(e.tauHat, e.tauVHat)
       case TriestName =>
         val budget = math.max(2, math.round(stream.length.toDouble / m).toInt)
-        val e = new TriestImprProcessor(budget, seed).processStream(stream)
+        val e = new TriestImprProcessor(budget, seed).processStream(stream, dense)
         result(e.tauHat, e.tauVHat)
       case GpsName =>
         val budget = math.max(1, math.round(stream.length.toDouble / (2.0 * m)).toInt)
-        val e = new GpsInStreamProcessor(budget, seed).processStream(stream)
+        val e = new GpsInStreamProcessor(budget, seed).processStream(stream, dense)
         result(e.tauHat, e.tauVHat)
       case other => throw new IllegalArgumentException(s"unknown baseline $other")
     }

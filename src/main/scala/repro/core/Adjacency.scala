@@ -4,17 +4,20 @@ package repro.core
   * the common-neighbour walk that starts every engine's per-edge step. The
   * adjacency format and the intersection method are known only here.
   *
-  * All of it is primitive arrays:
+  * Every call names each endpoint twice: by its original id, which the edge
+  * set, the rows and the visits use, and by its dense id (`StreamEngine`),
+  * which finds its row. All of it is primitive arrays:
   *  - an open-addressing set of canonical edge keys (`EdgeStream.key`), with
   *    backward-shift deletion; 0 marks a free slot. Only the self-loop (0, 0)
   *    has key 0; self-loops are never stored, and a probe for one (the walk
   *    makes it when u's row holds v) ends at a free slot, so finds nothing;
-  *  - an open-addressing node → row index; a slot is free when its row is 0,
-  *    so every `Int` is a valid node id;
+  *  - a row index: row + 1 per dense id, 0 for a node with no row;
   *  - one growable `Int` neighbour array per row, in insertion order, removed
-  *    from by swapping in its last entry. A node left with no neighbour gives
-  *    its row back to a free list, so every node present has at least one
-  *    stored neighbour.
+  *    from by swapping in its last entry, and a 64-bit signature per row: the
+  *    OR of `bit(w)` over the neighbours w ever added to it. A removal leaves
+  *    the bit set, so the signature stays a superset of the row's bits. A node
+  *    left with no neighbour gives its row back to a free list with a zero
+  *    signature, so every node present has at least one stored neighbour.
   */
 final class Adjacency extends Serializable {
   import Adjacency._
@@ -22,30 +25,32 @@ final class Adjacency extends Serializable {
   private var edges = new Array[Long](16)
   private var edgeCount = 0
 
-  private var nodeKeys = new Array[Int](16)
-  private var nodeRows = new Array[Int](16) // row + 1; 0 = free slot
+  private var rowOfId = new Array[Int](16) // dense id → row + 1; 0 = no row
   private var nodeCount = 0
 
   private var rows = new Array[Array[Int]](16)
   private var degree = new Array[Int](16)
+  private var masks = new Array[Long](16)
   private var rowsUsed = 0
   private var freeRows = new Array[Int](16)
   private var freeCount = 0
 
-  /** Store the undirected edge (u, v); false if it was already stored. */
-  def add(u: Int, v: Int): Boolean = {
+  /** Store the undirected edge (u, v), with dense ids (du, dv); false if it
+    * was already stored.
+    */
+  def add(u: Int, v: Int, du: Int, dv: Int): Boolean = {
     require(u != v, s"self-loop ($u, $u)")
     if (!insertEdge(EdgeStream.key(u, v))) return false
-    append(rowOrNew(u), v)
-    append(rowOrNew(v), u)
+    append(rowOrNew(du), v)
+    append(rowOrNew(dv), u)
     true
   }
 
-  /** Drop the undirected edge (u, v), and any endpoint left with no neighbour;
-    * a no-op if (u, v) is not stored.
+  /** Drop the undirected edge (u, v), with dense ids (du, dv), and any
+    * endpoint left with no neighbour; a no-op if (u, v) is not stored.
     */
-  def remove(u: Int, v: Int): Unit =
-    if (deleteEdge(EdgeStream.key(u, v))) { unlink(u, v); unlink(v, u) }
+  def remove(u: Int, v: Int, du: Int, dv: Int): Unit =
+    if (deleteEdge(EdgeStream.key(u, v))) { unlink(du, v); unlink(dv, u) }
 
   /** The stored edges' keys, in table order. */
   def edgeKeys: Array[Long] = {
@@ -62,24 +67,41 @@ final class Adjacency extends Serializable {
   /** Number of nodes with at least one stored neighbour. */
   def nodes: Int = nodeCount
 
-  /** Calls `visit(u, v, w)` for every common neighbour w of u and v, walking
-    * the shorter neighbour array and probing the edge set for (w, other
-    * endpoint); returns their number.
+  /** Calls `visit(u, v, w)` for every common neighbour w of u and v (dense
+    * ids du, dv), in the order of the shorter neighbour array, and returns
+    * their number. Disjoint signatures mean no common neighbour. Otherwise
+    * each w of the shorter array is looked up in the longer one: by a scan
+    * when that has at most `ScanMax` entries, else by probing the edge set
+    * for (w, other endpoint).
     */
-  def forEachCommon(u: Int, v: Int, visit: Adjacency.Visitor): Int = {
-    val ru = rowOf(u)
-    val rv = rowOf(v)
-    if (ru < 0 || rv < 0) return 0
+  def forEachCommon(u: Int, v: Int, du: Int, dv: Int, visit: Adjacency.Visitor): Int = {
+    val ru = rowOf(du)
+    val rv = rowOf(dv)
+    if (ru < 0 || rv < 0 || (masks(ru) & masks(rv)) == 0L) return 0
     val uShorter = degree(ru) <= degree(rv)
-    val row = if (uShorter) rows(ru) else rows(rv)
-    val n = if (uShorter) degree(ru) else degree(rv)
-    val other = if (uShorter) v else u
+    val short = if (uShorter) ru else rv
+    val long = if (uShorter) rv else ru
+    val row = rows(short)
+    val n = degree(short)
     var k = 0
     var i = 0
-    while (i < n) {
-      val w = row(i)
-      if (hasEdge(EdgeStream.key(w, other))) { k += 1; visit(u, v, w) }
-      i += 1
+    if (degree(long) <= ScanMax) {
+      val other = rows(long)
+      val nOther = degree(long)
+      while (i < n) {
+        val w = row(i)
+        var j = 0
+        while (j < nOther && other(j) != w) j += 1
+        if (j < nOther) { k += 1; visit(u, v, w) }
+        i += 1
+      }
+    } else {
+      val other = if (uShorter) v else u
+      while (i < n) {
+        val w = row(i)
+        if (hasEdge(EdgeStream.key(w, other))) { k += 1; visit(u, v, w) }
+        i += 1
+      }
     }
     k
   }
@@ -126,27 +148,19 @@ final class Adjacency extends Serializable {
     true
   }
 
-  // ---- node index ----
+  // ---- rows ----
 
-  /** Slot of node x in the index, or of the free slot where it would go. */
-  private def nodeSlot(x: Int): Int = {
-    val mask = nodeKeys.length - 1
-    var i = mixInt(x) & mask
-    while (nodeRows(i) != 0 && nodeKeys(i) != x) i = (i + 1) & mask
-    i
-  }
+  /** Row of the node with dense id d, or −1 if it has no stored neighbour. */
+  private def rowOf(d: Int): Int = if (d < rowOfId.length) rowOfId(d) - 1 else -1
 
-  /** Row of node x, or −1 if x has no stored neighbour. */
-  private def rowOf(x: Int): Int = nodeRows(nodeSlot(x)) - 1
-
-  private def rowOrNew(x: Int): Int = {
-    val s = nodeSlot(x)
-    if (nodeRows(s) != 0) return nodeRows(s) - 1
+  private def rowOrNew(d: Int): Int = {
+    if (d >= rowOfId.length)
+      rowOfId = java.util.Arrays.copyOf(rowOfId, math.max(2 * rowOfId.length, d + 1))
+    if (rowOfId(d) != 0) return rowOfId(d) - 1
     val r = if (freeCount > 0) { freeCount -= 1; freeRows(freeCount) } else newRow()
     rows(r) = new Array[Int](4)
-    nodeKeys(s) = x; nodeRows(s) = r + 1
+    rowOfId(d) = r + 1
     nodeCount += 1
-    if (2 * nodeCount > nodeKeys.length - 1) growNodes()
     r
   }
 
@@ -154,24 +168,11 @@ final class Adjacency extends Serializable {
     if (rowsUsed == rows.length) {
       rows = java.util.Arrays.copyOf(rows, rowsUsed * 2)
       degree = java.util.Arrays.copyOf(degree, rowsUsed * 2)
+      masks = java.util.Arrays.copyOf(masks, rowsUsed * 2)
       freeRows = java.util.Arrays.copyOf(freeRows, rowsUsed * 2)
     }
     rowsUsed += 1
     rowsUsed - 1
-  }
-
-  private def growNodes(): Unit = {
-    val (oldKeys, oldRows) = (nodeKeys, nodeRows)
-    nodeKeys = new Array[Int](oldKeys.length * 2)
-    nodeRows = new Array[Int](oldRows.length * 2)
-    var i = 0
-    while (i < oldKeys.length) {
-      if (oldRows(i) != 0) {
-        val s = nodeSlot(oldKeys(i))
-        nodeKeys(s) = oldKeys(i); nodeRows(s) = oldRows(i)
-      }
-      i += 1
-    }
   }
 
   private def append(r: Int, w: Int): Unit = {
@@ -179,12 +180,14 @@ final class Adjacency extends Serializable {
     if (d == rows(r).length) rows(r) = java.util.Arrays.copyOf(rows(r), d * 2)
     rows(r)(d) = w
     degree(r) = d + 1
+    masks(r) |= bit(w)
   }
 
-  /** Remove y from x's row (both are stored neighbours of each other). */
-  private def unlink(x: Int, y: Int): Unit = {
-    var s = nodeSlot(x)
-    val r = nodeRows(s) - 1
+  /** Remove y from the row of the node with dense id dx (the two are stored
+    * neighbours of each other).
+    */
+  private def unlink(dx: Int, y: Int): Unit = {
+    val r = rowOfId(dx) - 1
     val row = rows(r)
     val d = degree(r) - 1
     var i = 0
@@ -192,18 +195,12 @@ final class Adjacency extends Serializable {
     row(i) = row(d)
     degree(r) = d
     if (d > 0) return
-    // x has no neighbour left: free its row and delete it from the index.
+    // The node has no neighbour left: free its row.
     rows(r) = null
+    masks(r) = 0L
     freeRows(freeCount) = r; freeCount += 1
+    rowOfId(dx) = 0
     nodeCount -= 1
-    val mask = nodeKeys.length - 1
-    var j = s
-    while ({ j = (j + 1) & mask; nodeRows(j) != 0 }) {
-      if (((j - (mixInt(nodeKeys(j)) & mask)) & mask) >= ((j - s) & mask)) {
-        nodeKeys(s) = nodeKeys(j); nodeRows(s) = nodeRows(j); s = j
-      }
-    }
-    nodeRows(s) = 0
   }
 }
 
@@ -224,8 +221,11 @@ object Adjacency {
     (g ^ (g >>> 16)).toInt
   }
 
-  private[core] def mixInt(x: Int): Int = {
-    val h = x * 0x9e3779b9
-    h ^ (h >>> 16)
-  }
+  /** Longest row that `forEachCommon` scans instead of probing the edge set. */
+  private final val ScanMax = 16
+
+  /** A node id's bit in a row signature: the top 6 bits of a golden-ratio
+    * multiply.
+    */
+  private def bit(w: Int): Long = 1L << ((w * 0x9e3779b9) >>> 26)
 }

@@ -38,10 +38,14 @@ object Rept {
   def processor(lay: ReptEstimator.Layout, seed: Long, i: Int): ReptProcessor =
     processor(lay.m, seed, i, lay.needsEta)
 
-  /** Run REPT(p = 1/m, c) over a packed-key stream. */
+  /** Run REPT(p = 1/m, c) over a packed-key stream; its one relabel is
+    * shared by the c processors.
+    */
   def run(stream: Array[Long], m: Int, c: Int, seed: Long, locals: Boolean = true): Result = {
     val lay = ReptEstimator.Layout(m, c)
-    combine(lay, (0 until c).map(i => processor(lay, seed, i).processStream(stream).counters(locals)))
+    val dense = EdgeStream.relabel(stream)
+    combine(lay, (0 until c).map(i =>
+      processor(lay, seed, i).processStream(stream, dense).counters(locals)))
   }
 
   /** Combine the c processors' counters (in processor order) into estimates.

@@ -85,7 +85,8 @@ final class ReptProcessor(
   }
 
   /** Loads `s` into this fresh processor, sizing each counter table once
-    * from its entry count.
+    * from its entry count. The stored edges take the processor's own dense
+    * ids, which the `processStream(stream)` calls that follow continue.
     */
   def restore(s: ReptProcessor.State): this.type = {
     require(tauCnt == 0L && stored == 0L, "restore needs a fresh processor")
@@ -100,10 +101,13 @@ final class ReptProcessor(
       if (trackEta) etaVCnt(s.nodes(j)) = s.etaV(j)
       j += 1
     }
+    val ids = denseIds
     j = 0
     while (j < s.edges.length) {
       val k = s.edges(j)
-      adj.add(EdgeStream.keyU(k), EdgeStream.keyV(k))
+      val u = EdgeStream.keyU(k)
+      val v = EdgeStream.keyV(k)
+      adj.add(u, v, ids(u), ids(v))
       if (trackEta) tauEdge(k) = s.tauEdge(j)
       j += 1
     }
@@ -132,9 +136,9 @@ final class ReptProcessor(
   /** Process one stream edge (counting precedes the sampling decision,
     * exactly as in Algorithms 1–2).
     */
-  def processEdge(u: Int, v: Int): Unit = {
+  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
     if (u == v) return
-    val k = adj.forEachCommon(u, v, closeSemi)
+    val k = adj.forEachCommon(u, v, du, dv, closeSemi)
     if (k > 0) {
       tauCnt += k
       tauVCnt.add(u, k)
@@ -142,7 +146,7 @@ final class ReptProcessor(
     }
     val edgeKey = EdgeStream.key(u, v)
     if (hasher.slot(edgeKey) == slotId) {
-      if (adj.add(u, v)) stored += 1
+      if (adj.add(u, v, du, dv)) stored += 1
       // τ_(u,v) starts at |N_{u,v}⁽ⁱ⁾| — the semi-triangles (u,v) just closed.
       if (trackEta) tauEdge(edgeKey) = k.toLong
     }

@@ -86,16 +86,17 @@ object Tables {
     * parallel wall-clock at fixed c is each method's per-processor pass time
     * (all c processors run concurrently), so that is what we time: one pass
     * of each method's streaming engine, configured as in the accuracy tables
-    * (`ParallelBaseline.instance`).
+    * (`ParallelBaseline.instance`), over the stream's one shared relabel.
     */
   def runtime(spark: SparkSession, graph: String, ms: Seq[Int], reps: Int,
               seed: Long): Seq[RuntimePoint] = {
     val stream = BenchGraphs.stream(spark, graph)
+    val dense = EdgeStream.relabel(stream)
     val baselines = Seq(TrialHarness.MascotName, TrialHarness.TriestName, TrialHarness.GpsName)
     ms.flatMap { m =>
-      RuntimePoint(TrialHarness.ReptName, m, reptPassTime(stream, m, seed, reps)) +:
+      RuntimePoint(TrialHarness.ReptName, m, reptPassTime(stream, dense, m, seed, reps)) +:
         baselines.map(method => RuntimePoint(method, m, timeBestOf(reps) { () =>
-          ParallelBaseline.instance(method, m, stream, seed, locals = false); ()
+          ParallelBaseline.instance(method, m, stream, dense, seed, locals = false); ()
         }))
     }
   }
@@ -103,8 +104,11 @@ object Tables {
   /** Best-of-`reps` time of the one REPT pass Figures 7 and 8 report: processor
     * 0 of REPT(1/m, c ≤ m) without η tracking.
     */
-  private def reptPassTime(stream: Array[Long], m: Int, seed: Long, reps: Int): Double =
-    timeBestOf(reps) { () => Rept.processor(m, seed, 0, trackEta = false).processStream(stream); () }
+  private def reptPassTime(stream: Array[Long], dense: EdgeStream.Relabel, m: Int, seed: Long,
+                           reps: Int): Double =
+    timeBestOf(reps) { () =>
+      Rept.processor(m, seed, 0, trackEta = false).processStream(stream, dense); ()
+    }
 
   // ------------------------------------ Figure 8 (vs single-threaded, same memory)
 
@@ -119,6 +123,7 @@ object Tables {
   def singleThread(spark: SparkSession, graph: String, m: Int, cs: Seq[Int], trials: Int,
                    seed: Long, timeReps: Int = 3): Seq[SingleThreadPoint] = {
     val stream = BenchGraphs.stream(spark, graph)
+    val dense = EdgeStream.relabel(stream)
     val info = BenchGraphs.info(spark, graph)
     val cores = spark.sparkContext.defaultParallelism
 
@@ -129,15 +134,15 @@ object Tables {
     val singleTasks = for (c <- cs; method <- singleNames; trial <- 0 until trials)
       yield (c, method, trial)
     val singleEst = singleTasks.zip(ReptSpark.fanOut(spark, stream, singleTasks) {
-      case ((c, method, trial), s) =>
-        single(method, m, c, s, EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
+      case ((c, method, trial), s, d) =>
+        single(method, m, c, s, d, EdgeStream.mix64(seed ^ (method.hashCode.toLong << 32) ^
           (c.toLong << 16) ^ trial.toLong))
     }).toMap
 
     cs.flatMap { c =>
-      val reptTime = reptPassTime(stream, m, seed, timeReps) * math.ceil(c.toDouble / cores)
+      val reptTime = reptPassTime(stream, dense, m, seed, timeReps) * math.ceil(c.toDouble / cores)
       def point(method: String) = SingleThreadPoint(method, c,
-        timeBestOf(timeReps) { () => single(method, m, c, stream, seed); () },
+        timeBestOf(timeReps) { () => single(method, m, c, stream, dense, seed); () },
         ErrorMetrics.nrmse((0 until trials).map(t => singleEst((c, method, t))), info.tau.toDouble))
       SingleThreadPoint(TrialHarness.ReptName, c, reptTime,
         ErrorMetrics.nrmse(reptRes.globals((TrialHarness.ReptName, c)), info.tau.toDouble)) +:
@@ -149,17 +154,18 @@ object Tables {
     * REPT(1/m, c): MASCOT-S samples with p′ = min(1, c/m); Trièst-S and
     * GPS-S get budgets min(|E|, c|E|/m) and min(|E|, c|E|/(2m)).
     */
-  private def single(method: String, m: Int, c: Int, stream: Array[Long], seed: Long): Double = {
+  private def single(method: String, m: Int, c: Int, stream: Array[Long],
+                     dense: EdgeStream.Relabel, seed: Long): Double = {
     val nE = stream.length.toLong
     method match {
       case "MASCOT-S" =>
-        new MascotProcessor(math.min(1.0, c.toDouble / m), seed).processStream(stream).tauHat
+        new MascotProcessor(math.min(1.0, c.toDouble / m), seed).processStream(stream, dense).tauHat
       case "TRIEST-S" =>
         val b = math.min(nE, c * nE / m).toInt
-        new TriestImprProcessor(math.max(2, b), seed).processStream(stream).tauHat
+        new TriestImprProcessor(math.max(2, b), seed).processStream(stream, dense).tauHat
       case "GPS-S" =>
         val b = math.min(nE, c * nE / (2L * m)).toInt
-        new GpsInStreamProcessor(math.max(1, b), seed).processStream(stream).tauHat
+        new GpsInStreamProcessor(math.max(1, b), seed).processStream(stream, dense).tauHat
     }
   }
 

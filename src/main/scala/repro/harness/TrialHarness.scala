@@ -97,11 +97,11 @@ object TrialHarness {
     val keys = for (method <- cfg.methods; trial <- 0 until cfg.trials) yield (method, trial)
     val units = for ((method, trial) <- keys; i <- 0 until cfg.maxC) yield (method, trial, i)
     val (m, needsEta, locals, seed) = (cfg.m, cfg.needsEta, cfg.locals, cfg.seed)
-    val out = ReptSpark.fanOut(spark, stream, units) { case ((method, trial, i), s) =>
+    val out = ReptSpark.fanOut(spark, stream, units) { case ((method, trial, i), s, dense) =>
       val ts = trialSeed(seed, method, trial)
       if (method == ReptName)
-        Left(Rept.processor(m, ts, i, needsEta).processStream(s).counters(locals)): Record
-      else Right(ParallelBaseline.instance(method, m, s, ParallelBaseline.procSeed(ts, i),
+        Left(Rept.processor(m, ts, i, needsEta).processStream(s, dense).counters(locals)): Record
+      else Right(ParallelBaseline.instance(method, m, s, dense, ParallelBaseline.procSeed(ts, i),
         locals)): Record
     }
     // fanOut keeps the units' order: maxC consecutive records per key.

@@ -21,7 +21,9 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * state across batches as one flat `ReptProcessor.State` row — its sampled
   * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and replays a
   * batch's packs in global stream order `t` however the batch was split into
-  * partitions. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
+  * partitions. The restored edges and then the batch's edges take the fresh
+  * processor's own dense node ids (`StreamEngine`), so the state row holds
+  * original ids only. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
   * η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the whole stream also
   * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined by `Rept.combine`
   * into the batch runner's `Rept.Result`, so a streaming run is bit-identical

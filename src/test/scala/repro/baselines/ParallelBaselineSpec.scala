@@ -93,11 +93,12 @@ class ParallelBaselineSpec extends AnyFunSuite {
         InstanceResult(e.tauHat, e.tauVHat)
       },
     )
+    val dense = EdgeStream.relabel(stream)
     for ((method, engine) <- engines) {
-      assert(instance(method, m, stream, seed, locals = true) == engine(), method)
-      val global = instance(method, m, stream, seed, locals = false)
+      assert(instance(method, m, stream, dense, seed, locals = true) == engine(), method)
+      val global = instance(method, m, stream, dense, seed, locals = false)
       assert(global.tauHat == engine().tauHat && global.tauVHat.isEmpty, method)
     }
-    intercept[IllegalArgumentException] { instance("NOPE", m, stream, seed, locals = false) }
+    intercept[IllegalArgumentException] { instance("NOPE", m, stream, dense, seed, locals = false) }
   }
 }

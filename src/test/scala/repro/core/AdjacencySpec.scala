@@ -7,12 +7,24 @@ import scala.util.Random
 
 class AdjacencySpec extends AnyFunSuite {
 
-  /** The common neighbours `forEachCommon` visits, checking that every visit
-    * carries the queried (u, v) and that the returned count matches.
+  /** An `Adjacency` addressed by original ids, with dense ids handed out by
+    * one `DenseIds` in first-call order, as `StreamEngine` does.
     */
-  private def visited(adj: Adjacency, u: Int, v: Int): List[Int] = {
+  private final class Graph {
+    val adj = new Adjacency
+    val ids = new DenseIds
+    def add(u: Int, v: Int): Boolean = adj.add(u, v, ids(u), ids(v))
+    def remove(u: Int, v: Int): Unit = adj.remove(u, v, ids(u), ids(v))
+    def nodes: Int = adj.nodes
+  }
+
+  /** The common neighbours `forEachCommon` visits, in visit order, checking
+    * that every visit carries the queried (u, v) and that the returned count
+    * matches.
+    */
+  private def visited(g: Graph, u: Int, v: Int): List[Int] = {
     val seen = mutable.ListBuffer.empty[Int]
-    val k = adj.forEachCommon(u, v, (a, b, w) => {
+    val k = g.adj.forEachCommon(u, v, g.ids(u), g.ids(v), (a, b, w) => {
       assert(a == u && b == v, s"visit got ($a, $b) for ($u, $v)")
       seen += w
     })
@@ -29,7 +41,7 @@ class AdjacencySpec extends AnyFunSuite {
     val n = 12
     for (seed <- 1L to 5L) {
       val rng = new Random(seed)
-      val adj = new Adjacency
+      val adj = new Graph
       var ref = Set.empty[(Int, Int)]
       for (step <- 1 to 400) {
         val (u, v) = {
@@ -56,7 +68,7 @@ class AdjacencySpec extends AnyFunSuite {
   }
 
   test("removing a node's last neighbour leaves no empty entry behind") {
-    val adj = new Adjacency
+    val adj = new Graph
     adj.add(1, 2); adj.add(2, 3); adj.add(1, 3)
     assert(adj.nodes == 3)
     adj.remove(1, 2)
@@ -77,7 +89,7 @@ class AdjacencySpec extends AnyFunSuite {
       .distinct.take(2000).toArray
     // Low indices (the special ids first) are picked most often: hubs with long rows.
     def pick(): Int = ids(math.min(rng.nextInt(ids.length), rng.nextInt(ids.length)))
-    val adj = new Adjacency
+    val adj = new Graph
     val ref = mutable.HashMap.empty[Int, mutable.Set[Int]]
     val stored = mutable.ArrayBuffer.empty[(Int, Int)]
 
@@ -149,5 +161,50 @@ class AdjacencySpec extends AnyFunSuite {
     for (_ <- 1 to 3000) { val u = pick(); val v = pick(); if (u != v) add(u, v) }
     for (i <- special.indices; j <- special.indices if i < j) add(special(i), special(j))
     check("refill")
+  }
+
+  test("rows on either side of the scan cut-off: the visit follows the shorter row and finds every common neighbour") {
+    // Row lengths around the cut-off of 16: both scanned, one side probed, both probed.
+    val sizes = Seq((1, 1), (3, 16), (16, 16), (16, 17), (17, 16), (12, 40), (17, 40), (40, 40), (60, 33))
+    for (((a, b), t) <- sizes.zipWithIndex; shared <- Seq(0, 1, 5, a min b).filter(_ <= (a min b)).distinct) {
+      val g = new Graph
+      val (u, v) = (-1000 - t, Int.MaxValue - t)
+      val common = (0 until shared).map(i => 100 * i + 7)
+      // Each row holds its own neighbours with the common ones spread through
+      // it, the last common one at the end, so a scan one entry short misses it.
+      def rowOf(x: Int, n: Int, tag: Int): Seq[Int] = {
+        val own = (0 until n - shared).map(i => tag * 100000 + i)
+        val mixed = own.zipWithIndex.flatMap { case (y, i) =>
+          if (i % 3 == 0 && i / 3 < shared - 1) Seq(common(i / 3), y) else Seq(y)
+        }
+        val placed = mixed.filter(common.contains).toSet
+        mixed ++ common.filterNot(placed) // what is left goes last
+      }
+      val nu = rowOf(u, a, 1)
+      val nv = rowOf(v, b, 2)
+      assert(nu.size == a && nv.size == b && nu.distinct.size == a)
+      nu.foreach(w => g.add(u, w))
+      nv.foreach(w => g.add(w, v))
+      val shorter = if (a <= b) nu else nv
+      val want = shorter.filter(common.contains).toList
+      assert(visited(g, u, v) == want, s"|N(u)| = $a, |N(v)| = $b, $shared shared")
+      assert(visited(g, v, u) == (if (b <= a) nv else nu).filter(common.contains).toList)
+    }
+  }
+
+  test("a freed row taken by another node answers for that node only") {
+    val g = new Graph
+    g.add(5, 1); g.add(5, 2); g.add(10, 1); g.add(10, 2); g.add(10, 3)
+    assert(visited(g, 10, 5) == List(1, 2))
+    g.remove(10, 1); g.remove(2, 10); g.remove(10, 3) // 10 and 3 free their rows
+    assert(g.nodes == 3)
+    assert(visited(g, 10, 5).isEmpty && visited(g, 5, 10).isEmpty)
+    g.add(20, 2); g.add(20, 4) // 20 and 4 take the freed rows
+    assert(g.nodes == 5)
+    assert(visited(g, 10, 5).isEmpty && visited(g, 10, 20).isEmpty)
+    assert(visited(g, 20, 5) == List(2) && visited(g, 5, 20) == List(2))
+    assert(visited(g, 1, 2) == List(5) && visited(g, 2, 4) == List(20))
+    g.add(10, 4) // 10 comes back in a fresh row
+    assert(visited(g, 10, 20) == List(4) && visited(g, 10, 5).isEmpty)
   }
 }

@@ -95,6 +95,56 @@ class EdgeStreamSpec extends AnyFunSuite {
     assert(math.abs(frac - 1.0 / (m * m)) < 0.015, s"joint fraction $frac")
   }
 
+  test("relabel numbers endpoints 0..n-1 in first-arrival order, each edge's smaller endpoint first") {
+    val stream = Array(EdgeStream.key(5, 9), EdgeStream.key(9, 2), EdgeStream.key(5, 2), EdgeStream.key(7, 1),
+      EdgeStream.key(9, 7))
+    val r = EdgeStream.relabel(stream)
+    assert(r.original.toSeq == Seq(5, 9, 2, 1, 7))
+    def pair(k: Long) = (EdgeStream.keyU(k), EdgeStream.keyV(k))
+    assert(r.pairs.toSeq.map(pair) == Seq((0, 1), (2, 1), (2, 0), (3, 4), (4, 1)))
+  }
+
+  test("relabel's dense -> original table round-trips every endpoint of a random stream") {
+    val rng = new Random(3)
+    val stream = Array.fill(5000) {
+      val u = rng.nextInt(3000) - 1500; val v = rng.nextInt(3000) - 1500
+      EdgeStream.key(u, v)
+    }
+    val r = EdgeStream.relabel(stream)
+    for (i <- stream.indices) {
+      assert(r.original(EdgeStream.keyU(r.pairs(i))) == EdgeStream.keyU(stream(i)), s"edge $i")
+      assert(r.original(EdgeStream.keyV(r.pairs(i))) == EdgeStream.keyV(stream(i)), s"edge $i")
+    }
+    val endpoints = stream.iterator.flatMap(k => Iterator(EdgeStream.keyU(k), EdgeStream.keyV(k))).toSeq
+    assert(r.original.toSeq == endpoints.distinct)
+    // Dense ids are handed out in order: the first mention of d follows that of d - 1.
+    val dense = r.pairs.iterator.flatMap(p => Iterator(EdgeStream.keyU(p), EdgeStream.keyV(p))).toSeq
+    assert(dense.distinct == r.original.indices)
+  }
+
+  test("relabel handles ids 0, -1, Int.MinValue and Int.MaxValue") {
+    val special = Seq(0, -1, Int.MinValue, Int.MaxValue)
+    val edges = Seq((Int.MaxValue, -1), (0, Int.MinValue), (-1, 0), (Int.MinValue, Int.MaxValue), (0, 0))
+    val stream = edges.map { case (u, v) => EdgeStream.key(u, v) }.toArray
+    val r = EdgeStream.relabel(stream)
+    assert(r.original.toSeq == Seq(-1, Int.MaxValue, Int.MinValue, 0))
+    assert(r.original.sorted.toSeq == special.sorted)
+    for (i <- stream.indices) {
+      assert(r.original(EdgeStream.keyU(r.pairs(i))) == EdgeStream.keyU(stream(i)))
+      assert(r.original(EdgeStream.keyV(r.pairs(i))) == EdgeStream.keyV(stream(i)))
+    }
+    // The self-loop (0, 0) names one node twice.
+    assert(EdgeStream.keyU(r.pairs.last) == 3 && EdgeStream.keyV(r.pairs.last) == 3)
+    val ids = new DenseIds
+    assert(special.map(ids(_)) == Seq(0, 1, 2, 3) && special.map(ids(_)) == Seq(0, 1, 2, 3))
+    assert(ids.original.toSeq == special)
+  }
+
+  test("relabel of the empty stream is empty") {
+    val r = EdgeStream.relabel(Array.emptyLongArray)
+    assert(r.pairs.isEmpty && r.original.isEmpty)
+  }
+
   test("m=1 hasher maps everything to slot 0") {
     val h = new EdgeHasher(1, 77)
     for (u <- 0 until 50) assert(h.slot(u, u + 1) == 0)

@@ -290,4 +290,22 @@ class ReptProcessorSpec extends AnyFunSuite {
     same((gps.tauHat, gps.tauVHat), (gpsResumed.tauHat, gpsResumed.tauVHat))
     assert(bits(gps.threshold) == bits(gpsResumed.threshold))
   }
+
+  test("a pass over the run's relabel counts like the pass on the engine's own ids, and needs a fresh engine") {
+    val stream = streamOf(Ref.cliquePlusNoise(20, 300, 1200, 3).map { case (u, v) => (u * 104729 - 7, v * 104729 - 7) })
+    val dense = EdgeStream.relabel(stream)
+    for (m <- Seq(1, 4); slot <- Seq(0, m - 1)) {
+      val own = new ReptProcessor(m, slot, 17, trackEta = true).processStream(stream)
+      val relabelled = new ReptProcessor(m, slot, 17, trackEta = true).processStream(stream, dense)
+      val (a, b) = (own.counters(locals = true), relabelled.counters(locals = true))
+      assert(a.tau > 0 && (a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored), s"m=$m slot=$slot")
+      assert(own.tauV == relabelled.tauV && own.etaV == relabelled.etaV && own.tauEdgeCounters == relabelled.tauEdgeCounters)
+      // The two id sources never mix on one engine.
+      intercept[IllegalArgumentException] { own.processStream(stream, dense) }
+      intercept[IllegalArgumentException] { relabelled.processStream(stream, dense) }
+      intercept[IllegalArgumentException] { relabelled.processStream(stream) }
+      intercept[IllegalArgumentException] { relabelled.processEdge(1, 2) }
+    }
+    intercept[IllegalArgumentException] { new ReptProcessor(1, 0, 1).processStream(stream.tail, dense) }
+  }
 }
