@@ -28,8 +28,8 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
   private val rng = new SplitMix(seed)
   private val adj = new Adjacency
   private val weightOf = mutable.LongMap.empty[Double]
-  // Min-heap of (rank, edgeKey, dense pair); ranks are fixed at insertion so
-  // no lazy deletes.
+  // Min-heap of (rank, edgeKey); ranks are fixed at insertion so no lazy
+  // deletes.
   private val heap = new java.util.PriorityQueue[GpsInStreamProcessor.Entry](
     budget + 1, GpsInStreamProcessor.ByRank)
   private var z: Double = 0.0
@@ -39,7 +39,7 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
   def tauHat: Double = global
 
   def tauVHat: collection.Map[Int, Double] =
-    localCnt.iterator.map { case (k, x) => (k.toInt, x) }.toMap
+    localCnt.iterator.map { case (d, x) => (original(d.toInt), x) }.toMap
 
   def sampledEdges: Int = heap.size
   def threshold: Double = z
@@ -49,11 +49,11 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
     if (z <= 0 || w >= z) 1.0 else w / z
   }
 
-  private def addEdge(u: Int, v: Int, du: Int, dv: Int, weight: Double, rank: Double): Unit = {
+  private def addEdge(u: Int, v: Int, weight: Double, rank: Double): Unit = {
     val k = EdgeStream.key(u, v)
-    adj.add(u, v, du, dv)
+    adj.add(u, v)
     weightOf(k) = weight
-    heap.add(GpsInStreamProcessor.Entry(rank, k, EdgeStream.densePair(u, v, du, dv)))
+    heap.add(GpsInStreamProcessor.Entry(rank, k))
   }
 
   private def removeMin(): Unit = {
@@ -61,8 +61,7 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
     z = math.max(z, min.rank)
     val k = min.edgeKey
     weightOf.remove(k)
-    adj.remove(EdgeStream.keyU(k), EdgeStream.keyV(k),
-      EdgeStream.keyU(min.dense), EdgeStream.keyV(min.dense))
+    adj.remove(EdgeStream.keyU(k), EdgeStream.keyV(k))
   }
 
   private val countClosed: Adjacency.Visitor = (u, v, w) => {
@@ -71,22 +70,22 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
     localCnt(u) += inc; localCnt(v) += inc; localCnt(w) += inc
   }
 
-  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
+  protected def processEdge(edge: Long, u: Int, v: Int): Unit = {
     if (u == v) return
-    val k = adj.forEachCommon(u, v, du, dv, countClosed)
+    val k = adj.forEachCommon(u, v, countClosed)
     val weight = 9.0 * k + 1.0
     var unif = rng.nextDouble()
     while (unif == 0.0) unif = rng.nextDouble()
     val rank = weight / unif
-    if (heap.size < budget) addEdge(u, v, du, dv, weight, rank)
-    else if (rank > heap.peek().rank) { removeMin(); addEdge(u, v, du, dv, weight, rank) }
+    if (heap.size < budget) addEdge(u, v, weight, rank)
+    else if (rank > heap.peek().rank) { removeMin(); addEdge(u, v, weight, rank) }
     else z = math.max(z, rank)
   }
 }
 
 object GpsInStreamProcessor {
-  /** A sampled edge: its rank, key, and the dense pair that finds its rows. */
-  final case class Entry(rank: Double, edgeKey: Long, dense: Long)
+  /** A sampled edge: its rank and its key in dense ids. */
+  final case class Entry(rank: Double, edgeKey: Long)
 
   /** The heap's order; a serializable object, unlike a lambda comparator. */
   private object ByRank extends java.util.Comparator[Entry] with Serializable {

@@ -31,17 +31,17 @@ final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine 
 
   /** Local estimates τ̃_v (zero-count nodes omitted). */
   def tauVHat: collection.Map[Int, Double] =
-    semiV.toMap.map { case (k, n) => (k.toInt, n / (p * p)) }
+    semiV.toMap.map { case (d, n) => (original(d.toInt), n / (p * p)) }
 
   def sampledEdges: Long = stored
 
   private val countSemi: Adjacency.Visitor = (_, _, w) => semiV.add(w, 1)
 
-  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
+  protected def processEdge(edge: Long, u: Int, v: Int): Unit = {
     if (u == v) return
-    val k = adj.forEachCommon(u, v, du, dv, countSemi)
+    val k = adj.forEachCommon(u, v, countSemi)
     if (k > 0) { semi += k; semiV.add(u, k); semiV.add(v, k) }
     // One draw per edge, whether or not (u, v) is already stored.
-    if (rng.nextDouble() < p && adj.add(u, v, du, dv)) stored += 1
+    if (rng.nextDouble() < p && adj.add(u, v)) stored += 1
   }
 }

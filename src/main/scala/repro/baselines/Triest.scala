@@ -20,8 +20,7 @@ final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamE
 
   private val rng = new SplitMix(seed)
   private val adj = new Adjacency
-  private val reservoir = new Array[Long](budget)
-  private val reservoirDense = new Array[Long](budget) // dense pairs, as `EdgeStream.densePair`
+  private val reservoir = new Array[Long](budget) // dense edge keys
   private var size = 0
   private var t: Long = 0L
   private var global: Double = 0.0
@@ -32,7 +31,7 @@ final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamE
 
   /** Unbiased local estimates (zero-count nodes omitted). */
   def tauVHat: collection.Map[Int, Double] =
-    localCnt.iterator.map { case (k, x) => (k.toInt, x) }.toMap
+    localCnt.iterator.map { case (d, x) => (original(d.toInt), x) }.toMap
 
   def edgesSeen: Long = t
   def sampledEdges: Int = size
@@ -41,29 +40,25 @@ final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamE
   private var w8: Double = 0.0
   private val countLocal: Adjacency.Visitor = (_, _, w) => localCnt(w) += w8
 
-  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
+  protected def processEdge(edge: Long, u: Int, v: Int): Unit = {
     if (u == v) return
     t += 1
     val m = budget.toDouble
     w8 = math.max(1.0, (t - 1).toDouble * (t - 2).toDouble / (m * (m - 1)))
-    val k = adj.forEachCommon(u, v, du, dv, countLocal)
+    val k = adj.forEachCommon(u, v, countLocal)
     if (k > 0) {
       global += k * w8
       localCnt(u) += k * w8
       localCnt(v) += k * w8
     }
-    val key = EdgeStream.key(u, v)
-    val dense = EdgeStream.densePair(u, v, du, dv)
     if (size < budget) {
-      reservoir(size) = key; reservoirDense(size) = dense; size += 1; adj.add(u, v, du, dv)
+      reservoir(size) = EdgeStream.key(u, v); size += 1; adj.add(u, v)
     } else if (rng.nextDouble() < budget / t.toDouble) {
       val victim = rng.nextInt(budget)
       val old = reservoir(victim)
-      val oldDense = reservoirDense(victim)
-      adj.remove(EdgeStream.keyU(old), EdgeStream.keyV(old),
-        EdgeStream.keyU(oldDense), EdgeStream.keyV(oldDense))
-      reservoir(victim) = key; reservoirDense(victim) = dense
-      adj.add(u, v, du, dv)
+      adj.remove(EdgeStream.keyU(old), EdgeStream.keyV(old))
+      reservoir(victim) = EdgeStream.key(u, v)
+      adj.add(u, v)
     }
   }
 }

@@ -4,13 +4,14 @@ package repro.core
   * the common-neighbour walk that starts every engine's per-edge step. The
   * adjacency format and the intersection method are known only here.
   *
-  * Every call names each endpoint twice: by its original id, which the edge
-  * set, the rows and the visits use, and by its dense id (`StreamEngine`),
-  * which finds its row. All of it is primitive arrays:
-  *  - an open-addressing set of canonical edge keys (`EdgeStream.key`), with
-  *    backward-shift deletion; 0 marks a free slot. Only the self-loop (0, 0)
-  *    has key 0; self-loops are never stored, and a probe for one (the walk
-  *    makes it when u's row holds v) ends at a free slot, so finds nothing;
+  * Nodes are named by their dense ids (`StreamEngine`) only: the edge set,
+  * the rows, the signatures and the visits all use them. All of it is
+  * primitive arrays:
+  *  - an open-addressing set of canonical edge keys (`EdgeStream.key` of the
+  *    dense ids), with backward-shift deletion; 0 marks a free slot. Only the
+  *    self-loop (0, 0) has key 0; self-loops are never stored, and a probe for
+  *    one (the walk makes it when u's row holds v) ends at a free slot, so
+  *    finds nothing;
   *  - a row index: row + 1 per dense id, 0 for a node with no row;
   *  - one growable `Int` neighbour array per row, in insertion order, removed
   *    from by swapping in its last entry, and a 64-bit signature per row: the
@@ -25,7 +26,7 @@ final class Adjacency extends Serializable {
   private var edges = new Array[Long](16)
   private var edgeCount = 0
 
-  private var rowOfId = new Array[Int](16) // dense id → row + 1; 0 = no row
+  private var rowOfId = new Array[Int](16) // node → row + 1; 0 = no row
   private var nodeCount = 0
 
   private var rows = new Array[Array[Int]](16)
@@ -35,22 +36,20 @@ final class Adjacency extends Serializable {
   private var freeRows = new Array[Int](16)
   private var freeCount = 0
 
-  /** Store the undirected edge (u, v), with dense ids (du, dv); false if it
-    * was already stored.
-    */
-  def add(u: Int, v: Int, du: Int, dv: Int): Boolean = {
+  /** Store the undirected edge (u, v); false if it was already stored. */
+  def add(u: Int, v: Int): Boolean = {
     require(u != v, s"self-loop ($u, $u)")
     if (!insertEdge(EdgeStream.key(u, v))) return false
-    append(rowOrNew(du), v)
-    append(rowOrNew(dv), u)
+    append(rowOrNew(u), v)
+    append(rowOrNew(v), u)
     true
   }
 
-  /** Drop the undirected edge (u, v), with dense ids (du, dv), and any
-    * endpoint left with no neighbour; a no-op if (u, v) is not stored.
+  /** Drop the undirected edge (u, v) and any endpoint left with no
+    * neighbour; a no-op if (u, v) is not stored.
     */
-  def remove(u: Int, v: Int, du: Int, dv: Int): Unit =
-    if (deleteEdge(EdgeStream.key(u, v))) { unlink(du, v); unlink(dv, u) }
+  def remove(u: Int, v: Int): Unit =
+    if (deleteEdge(EdgeStream.key(u, v))) { unlink(u, v); unlink(v, u) }
 
   /** The stored edges' keys, in table order. */
   def edgeKeys: Array[Long] = {
@@ -67,16 +66,16 @@ final class Adjacency extends Serializable {
   /** Number of nodes with at least one stored neighbour. */
   def nodes: Int = nodeCount
 
-  /** Calls `visit(u, v, w)` for every common neighbour w of u and v (dense
-    * ids du, dv), in the order of the shorter neighbour array, and returns
-    * their number. Disjoint signatures mean no common neighbour. Otherwise
+  /** Calls `visit(u, v, w)` for every common neighbour w of u and v, in the
+    * order of the shorter neighbour array, and returns their number.
+    * Disjoint signatures mean no common neighbour. Otherwise
     * each w of the shorter array is looked up in the longer one: by a scan
     * when that has at most `ScanMax` entries, else by probing the edge set
     * for (w, other endpoint).
     */
-  def forEachCommon(u: Int, v: Int, du: Int, dv: Int, visit: Adjacency.Visitor): Int = {
-    val ru = rowOf(du)
-    val rv = rowOf(dv)
+  def forEachCommon(u: Int, v: Int, visit: Adjacency.Visitor): Int = {
+    val ru = rowOf(u)
+    val rv = rowOf(v)
     if (ru < 0 || rv < 0 || (masks(ru) & masks(rv)) == 0L) return 0
     val uShorter = degree(ru) <= degree(rv)
     val short = if (uShorter) ru else rv
@@ -150,16 +149,16 @@ final class Adjacency extends Serializable {
 
   // ---- rows ----
 
-  /** Row of the node with dense id d, or −1 if it has no stored neighbour. */
-  private def rowOf(d: Int): Int = if (d < rowOfId.length) rowOfId(d) - 1 else -1
+  /** Row of node x, or −1 if it has no stored neighbour. */
+  private def rowOf(x: Int): Int = if (x < rowOfId.length) rowOfId(x) - 1 else -1
 
-  private def rowOrNew(d: Int): Int = {
-    if (d >= rowOfId.length)
-      rowOfId = java.util.Arrays.copyOf(rowOfId, math.max(2 * rowOfId.length, d + 1))
-    if (rowOfId(d) != 0) return rowOfId(d) - 1
+  private def rowOrNew(x: Int): Int = {
+    if (x >= rowOfId.length)
+      rowOfId = java.util.Arrays.copyOf(rowOfId, math.max(2 * rowOfId.length, x + 1))
+    if (rowOfId(x) != 0) return rowOfId(x) - 1
     val r = if (freeCount > 0) { freeCount -= 1; freeRows(freeCount) } else newRow()
     rows(r) = new Array[Int](4)
-    rowOfId(d) = r + 1
+    rowOfId(x) = r + 1
     nodeCount += 1
     r
   }
@@ -183,11 +182,11 @@ final class Adjacency extends Serializable {
     masks(r) |= bit(w)
   }
 
-  /** Remove y from the row of the node with dense id dx (the two are stored
-    * neighbours of each other).
+  /** Remove y from the row of x (the two are stored neighbours of each
+    * other).
     */
-  private def unlink(dx: Int, y: Int): Unit = {
-    val r = rowOfId(dx) - 1
+  private def unlink(x: Int, y: Int): Unit = {
+    val r = rowOfId(x) - 1
     val row = rows(r)
     val d = degree(r) - 1
     var i = 0
@@ -199,14 +198,15 @@ final class Adjacency extends Serializable {
     rows(r) = null
     masks(r) = 0L
     freeRows(freeCount) = r; freeCount += 1
-    rowOfId(dx) = 0
+    rowOfId(x) = 0
     nodeCount -= 1
   }
 }
 
 object Adjacency {
-  /** Per-common-neighbour callback of `forEachCommon`; primitive arguments,
-    * so a visit allocates nothing.
+  /** Per-common-neighbour callback of `forEachCommon`, given the dense ids
+    * of the queried pair and of the neighbour; primitive arguments, so a
+    * visit allocates nothing.
     */
   trait Visitor extends Serializable {
     def apply(u: Int, v: Int, w: Int): Unit
@@ -224,7 +224,7 @@ object Adjacency {
   /** Longest row that `forEachCommon` scans instead of probing the edge set. */
   private final val ScanMax = 16
 
-  /** A node id's bit in a row signature: the top 6 bits of a golden-ratio
+  /** A node's bit in a row signature: the top 6 bits of a golden-ratio
     * multiply.
     */
   private def bit(w: Int): Long = 1L << ((w * 0x9e3779b9) >>> 26)

@@ -37,12 +37,6 @@ object EdgeStream {
     Relabel(ids.pairs(stream), ids.original)
   }
 
-  /** The dense ids (du, dv) of edge (u, v), packed in the order of the
-    * endpoints of `key(u, v)`.
-    */
-  def densePair(u: Int, v: Int, du: Int, dv: Int): Long =
-    if (u <= v) (du.toLong << 32) | dv else (dv.toLong << 32) | du
-
   /** splitmix64 finalizer — a strong 64-bit mixing function. */
   def mix64(z0: Long): Long = {
     var z = z0 + 0x9e3779b97f4a7c15L
@@ -76,29 +70,20 @@ object EdgeStream {
 /** Dense node ids 0, 1, 2, … handed out in first-arrival order, with the
   * dense → original table. `EdgeStream.relabel` uses one per run; an engine
   * fed without a relabel keeps its own (see `StreamEngine`).
-  *
-  * The index is one open-addressing `Long` table: a slot packs
-  * (node id « 32) | (dense id + 1), so one load answers a probe, and 0 marks
-  * a free slot.
   */
 final class DenseIds extends Serializable {
-  private var slots = new Array[Long](16)
+  private val index = new LongCounts // node id → dense id + 1; 0 = no id yet
   private var nodes = new Array[Int](16)
   private var n = 0
 
   /** Dense id of node x, handing out the next one if x is new. */
   def apply(x: Int): Int = {
-    val mask = slots.length - 1
-    var i = DenseIds.spread(x) & mask
-    while (slots(i) != 0L) {
-      if ((slots(i) >>> 32).toInt == x) return slots(i).toInt - 1
-      i = (i + 1) & mask
-    }
+    val d = index(x).toInt
+    if (d > 0) return d - 1
     if (n == nodes.length) nodes = java.util.Arrays.copyOf(nodes, 2 * n)
     nodes(n) = x
     n += 1
-    slots(i) = (x.toLong << 32) | n
-    if (2 * n > slots.length) grow()
+    index(x) = n
     n - 1
   }
 
@@ -113,28 +98,11 @@ final class DenseIds extends Serializable {
     out
   }
 
+  /** The node id that has dense id d. */
+  def node(d: Int): Int = nodes(d)
+
   /** The dense → original table. */
   def original: Array[Int] = java.util.Arrays.copyOf(nodes, n)
-
-  private def grow(): Unit = {
-    slots = new Array[Long](2 * slots.length)
-    val mask = slots.length - 1
-    var d = 0
-    while (d < n) {
-      var i = DenseIds.spread(nodes(d)) & mask
-      while (slots(i) != 0L) i = (i + 1) & mask
-      slots(i) = (nodes(d).toLong << 32) | (d + 1)
-      d += 1
-    }
-  }
-}
-
-object DenseIds {
-  /** Golden-ratio multiply, high bits folded down for the low-bit mask. */
-  private def spread(x: Int): Int = {
-    val h = x * 0x9e3779b9
-    h ^ (h >>> 16)
-  }
 }
 
 /** The shared hash family h_seed : edge → {0..m−1} at the heart of REPT.

@@ -17,6 +17,11 @@ package repro.core
   * processor budget. Strictly one pass; self-loops are ignored; the stream is
   * assumed duplicate-free (as in the paper's model), but a repeated edge is
   * still stored, and counted in |E⁽ⁱ⁾|, only once.
+  *
+  * The slot hash reads the stream's packed key; the stored graph and the
+  * τ_v, η_v and τ_(u,v) tables are keyed by dense ids (`StreamEngine`). Every
+  * report (`tauV`, `etaV`, `tauEdgeCounters`, `counters`, `state`) names
+  * nodes and edges by their original ids.
   */
 final class ReptProcessor(
     val m: Int,
@@ -43,13 +48,13 @@ final class ReptProcessor(
   def eta: Long = etaCnt
 
   /** Per-node semi-triangle counts τ_v⁽ⁱ⁾ (nodes with zero count omitted). */
-  def tauV: collection.Map[Int, Long] = tauVCnt.toMap.map { case (k, n) => (k.toInt, n) }
+  def tauV: collection.Map[Int, Long] = tauVCnt.toMap.map { case (d, n) => (original(d.toInt), n) }
 
   /** Per-node pair counts η_v⁽ⁱ⁾ (only meaningful when trackEta). */
-  def etaV: collection.Map[Int, Long] = etaVCnt.toMap.map { case (k, n) => (k.toInt, n) }
+  def etaV: collection.Map[Int, Long] = etaVCnt.toMap.map { case (d, n) => (original(d.toInt), n) }
 
   /** Per-stored-edge triangle multiplicities τ_(u,v)⁽ⁱ⁾ keyed by packed edge. */
-  def tauEdgeCounters: collection.Map[Long, Long] = tauEdge.toMap
+  def tauEdgeCounters: collection.Map[Long, Long] = tauEdge.toMap.map { case (k, n) => (originalKey(k), n) }
 
   /** Number of edges currently stored in E⁽ⁱ⁾. */
   def sampledEdges: Long = stored
@@ -65,8 +70,8 @@ final class ReptProcessor(
     val etaV = new Array[Long](n)
     if (locals) {
       var j = 0
-      tauVCnt.foreachEntry { (v, x) =>
-        nodes(j) = v.toInt; tauV(j) = x; etaV(j) = etaVCnt(v); j += 1
+      tauVCnt.foreachEntry { (d, x) =>
+        nodes(j) = original(d.toInt); tauV(j) = x; etaV(j) = etaVCnt(d); j += 1
       }
     }
     ReptProcessor.Counters(tauCnt, etaCnt, stored, nodes, tauV, etaV)
@@ -80,13 +85,14 @@ final class ReptProcessor(
     val c = counters(locals = true)
     val edges = adj.edgeKeys
     ReptProcessor.State(seen, c.tau, c.eta, c.stored, c.nodes, c.tauV,
-      if (trackEta) c.etaV else Array.emptyLongArray, edges,
+      if (trackEta) c.etaV else Array.emptyLongArray, edges.map(originalKey),
       if (trackEta) edges.map(tauEdge(_)) else Array.emptyLongArray)
   }
 
   /** Loads `s` into this fresh processor, sizing each counter table once
-    * from its entry count. The stored edges take the processor's own dense
-    * ids, which the `processStream(stream)` calls that follow continue.
+    * from its entry count. The stored edges, then the other counted nodes,
+    * take the processor's own dense ids, which the `processStream(stream)`
+    * calls that follow continue.
     */
   def restore(s: ReptProcessor.State): this.type = {
     require(tauCnt == 0L && stored == 0L, "restore needs a fresh processor")
@@ -95,24 +101,28 @@ final class ReptProcessor(
     stored = s.stored
     tauVCnt.reserve(s.nodes.length)
     if (trackEta) { etaVCnt.reserve(s.nodes.length); tauEdge.reserve(s.edges.length) }
+    val ids = denseIds
     var j = 0
-    while (j < s.nodes.length) {
-      tauVCnt(s.nodes(j)) = s.tauV(j)
-      if (trackEta) etaVCnt(s.nodes(j)) = s.etaV(j)
+    while (j < s.edges.length) {
+      val u = ids(EdgeStream.keyU(s.edges(j)))
+      val v = ids(EdgeStream.keyV(s.edges(j)))
+      adj.add(u, v)
+      if (trackEta) tauEdge(EdgeStream.key(u, v)) = s.tauEdge(j)
       j += 1
     }
-    val ids = denseIds
     j = 0
-    while (j < s.edges.length) {
-      val k = s.edges(j)
-      val u = EdgeStream.keyU(k)
-      val v = EdgeStream.keyV(k)
-      adj.add(u, v, ids(u), ids(v))
-      if (trackEta) tauEdge(k) = s.tauEdge(j)
+    while (j < s.nodes.length) {
+      val d = ids(s.nodes(j))
+      tauVCnt(d) = s.tauV(j)
+      if (trackEta) etaVCnt(d) = s.etaV(j)
       j += 1
     }
     this
   }
+
+  /** The packed key, in original ids, of the edge with dense key k. */
+  private def originalKey(k: Long): Long =
+    EdgeStream.key(original(EdgeStream.keyU(k)), original(EdgeStream.keyV(k)))
 
   /** Counts the semi-triangle (u, v, w) at w and, with η tracking, pairs it
     * with the earlier triangles on its edges (u, w) and (v, w).
@@ -136,19 +146,18 @@ final class ReptProcessor(
   /** Process one stream edge (counting precedes the sampling decision,
     * exactly as in Algorithms 1–2).
     */
-  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit = {
+  protected def processEdge(edge: Long, u: Int, v: Int): Unit = {
     if (u == v) return
-    val k = adj.forEachCommon(u, v, du, dv, closeSemi)
+    val k = adj.forEachCommon(u, v, closeSemi)
     if (k > 0) {
       tauCnt += k
       tauVCnt.add(u, k)
       tauVCnt.add(v, k)
     }
-    val edgeKey = EdgeStream.key(u, v)
-    if (hasher.slot(edgeKey) == slotId) {
-      if (adj.add(u, v, du, dv)) stored += 1
+    if (hasher.slot(edge) == slotId) {
+      if (adj.add(u, v)) stored += 1
       // τ_(u,v) starts at |N_{u,v}⁽ⁱ⁾| — the semi-triangles (u,v) just closed.
-      if (trackEta) tauEdge(edgeKey) = k.toLong
+      if (trackEta) tauEdge(EdgeStream.key(u, v)) = k.toLong
     }
   }
 }
@@ -160,7 +169,8 @@ object ReptProcessor {
   final case class Counters(tau: Long, eta: Long, stored: Long,
                             nodes: Array[Int], tauV: Array[Long], etaV: Array[Long])
 
-  /** A processor's whole state (`ReptProcessor.state`), flat: `seen`, the
+  /** A processor's whole state (`ReptProcessor.state`), flat and in
+    * original ids, so it does not depend on the dense ids: `seen`, the
     * counters as in `Counters` with every τ_v⁽ⁱ⁾ entry, the stored edge keys
     * E⁽ⁱ⁾ and τ_(u,v)⁽ⁱ⁾ parallel to them. `etaV` and `tauEdge` are empty
     * without η tracking.

@@ -3,36 +3,44 @@ package repro.core
 /** A one-pass streaming triangle-count engine: `processEdge` is its per-edge
   * step, and every engine reads a packed stream through the same loop.
   *
-  * Each edge reaches the step with both ids of each endpoint: the original
-  * ids (u, v), which the edge set, visits and counters use, and dense ids
-  * (du, dv), which `Adjacency` finds rows by. A pass handed a run's
-  * `EdgeStream.Relabel` reads them from it; the entry points handed only
-  * original ids draw them from the engine's own `DenseIds`, made on first
-  * use and kept (and checkpointed) with the engine, so that successive calls
-  * and `ReptProcessor.restore` share one id space. The two sources never mix
-  * on one engine.
+  * This is where original node ids end. Each edge reaches the step as its
+  * packed stream key, the edge's hash identity in original ids, and the dense
+  * ids of its two endpoints; below the step, `Adjacency` and every counter
+  * and sample are keyed by dense ids only. An engine turns a dense id back
+  * into its node id with `original` when it reports. A pass handed a run's
+  * `EdgeStream.Relabel` takes the dense ids and the dense → original table
+  * from it; the entry points handed only original ids draw them from the
+  * engine's own `DenseIds`, made on first use and kept (and checkpointed)
+  * with the engine, so that successive calls and `ReptProcessor.restore`
+  * share one id space. The two sources never mix on one engine.
   */
 trait StreamEngine {
 
-  /** Process one stream edge (u, v) whose endpoints have dense ids (du, dv). */
-  protected def processEdge(u: Int, v: Int, du: Int, dv: Int): Unit
+  /** Process one stream edge with packed key `edge` whose endpoints have
+    * dense ids (u, v).
+    */
+  protected def processEdge(edge: Long, u: Int, v: Int): Unit
 
   private var ownIds: DenseIds = _
-  private var relabelled = false
+  private var relabelled: Array[Int] = _ // a relabel's dense → original table
 
   /** The engine's own dense ids. */
   protected final def denseIds: DenseIds = {
     if (ownIds == null) {
-      require(!relabelled, "this engine took its dense ids from a relabel")
+      require(relabelled == null, "this engine took its dense ids from a relabel")
       ownIds = new DenseIds
     }
     ownIds
   }
 
-  /** Process one stream edge. */
+  /** The node id that has dense id d. */
+  protected final def original(d: Int): Int =
+    if (relabelled != null) relabelled(d) else ownIds.node(d)
+
+  /** Process one stream edge (u, v), in original ids. */
   final def processEdge(u: Int, v: Int): Unit = {
     val ids = denseIds
-    processEdge(u, v, ids(u), ids(v))
+    processEdge(EdgeStream.key(u, v), ids(u), ids(v))
   }
 
   /** One pass over a packed-key edge stream, continuing the engine's own
@@ -44,9 +52,9 @@ trait StreamEngine {
     * run's `dense = EdgeStream.relabel(stream)`.
     */
   final def processStream(stream: Array[Long], dense: EdgeStream.Relabel): this.type = {
-    require(ownIds == null && !relabelled, "a relabelled pass needs a fresh engine")
+    require(ownIds == null && relabelled == null, "a relabelled pass needs a fresh engine")
     require(dense.pairs.length == stream.length, "the relabel is of another stream")
-    relabelled = true
+    relabelled = dense.original
     pass(stream, dense.pairs)
   }
 
@@ -54,9 +62,8 @@ trait StreamEngine {
   private def pass(stream: Array[Long], pairs: Array[Long]): this.type = {
     var i = 0
     while (i < stream.length) {
-      val e = stream(i)
       val d = pairs(i)
-      processEdge(EdgeStream.keyU(e), EdgeStream.keyV(e), EdgeStream.keyU(d), EdgeStream.keyV(d))
+      processEdge(stream(i), EdgeStream.keyU(d), EdgeStream.keyV(d))
       i += 1
     }
     this

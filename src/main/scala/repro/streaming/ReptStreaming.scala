@@ -21,8 +21,8 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * state across batches as one flat `ReptProcessor.State` row — its sampled
   * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and replays a
   * batch's packs in global stream order `t` however the batch was split into
-  * partitions. The restored edges and then the batch's edges take the fresh
-  * processor's own dense node ids (`StreamEngine`), so the state row holds
+  * partitions. The restored state and then the batch's edges take the fresh
+  * processor's own dense node ids (`StreamEngine`); the state row holds
   * original ids only. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
   * η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the whole stream also
   * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined by `Rept.combine`
@@ -30,7 +30,8 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * to `Rept.run` on the same (m, c, seed).
   *
   * Each run checkpoints into its own directory under `java.io.tmpdir`,
-  * deleted after the query stops, and the query's conf is set so that its
+  * deleted after the query stops, drops its memory sink's view once the
+  * snapshots are read, and sets the query's conf so that its
   * checkpoint I/O starts no process:
   *  - Spark's `FileSystemBasedCheckpointFileManager` renames with
   *    `File.renameTo`; the default manager renames every offset, commit and
@@ -101,7 +102,7 @@ object ReptStreaming {
 
     val queryName = s"rept_snapshots_${System.nanoTime()}"
     val checkpoint = Files.createTempDirectory("rept-stream-").toFile
-    try {
+    val snaps = try {
       val query = withConf(spark, CheckpointManagerKey -> LocalCheckpointManager,
         LocalFsKey -> classOf[ForkFreeLocalFileSystem].getName, LocalFsNoCacheKey -> "true",
         ShufflePartitionsKey -> math.min(c, spark.conf.get(ShufflePartitionsKey).toInt).toString) {
@@ -118,10 +119,15 @@ object ReptStreaming {
           query.processAllAvailable()
         }
       } finally query.stop()
-    } finally FileUtils.deleteQuietly(checkpoint)
+      spark.table(queryName).as[Snapshot].collect()
+    } finally {
+      // The memory sink's view outlives its stopped query, with every
+      // snapshot row in driver memory.
+      spark.catalog.dropTempView(queryName)
+      FileUtils.deleteQuietly(checkpoint)
+    }
 
-    val finalSnaps = spark.table(queryName).as[Snapshot].collect()
-      .groupBy(_.proc).values.map(_.maxBy(_.edgesSeen)).toSeq.sortBy(_.proc)
+    val finalSnaps = snaps.groupBy(_.proc).values.map(_.maxBy(_.edgesSeen)).toSeq.sortBy(_.proc)
     // Only keys 0..c−1 exist, so c final snapshots means one per processor.
     Rept.combine(lay, finalSnaps.map(_.counters))
   }

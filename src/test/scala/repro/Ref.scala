@@ -87,6 +87,18 @@ object Ref {
     rng.shuffle(pairs.toSeq)
   }
 
+  /** A small graph whose triangles sit on the extreme ids Int.MinValue, −1,
+    * 0, 1 and Int.MaxValue: K5 on those five, in shuffled order with half its
+    * edges reversed, then three triangles through node 7 and one on 0, 1, 2.
+    */
+  val extremeIdEdges: Seq[(Int, Int)] = {
+    val x = Seq(Int.MinValue, -1, 0, 1, Int.MaxValue)
+    val k5 = for (i <- x.indices; j <- (i + 1) until x.size)
+      yield if ((i + j) % 2 == 0) (x(i), x(j)) else (x(j), x(i))
+    new Random(5).shuffle(k5) ++
+      Seq((Int.MaxValue, 7), (7, Int.MinValue), (7, -1), (2, 7), (2, 0), (1, 2))
+  }
+
   /** Random graph with a planted clique prefix — triangle-rich fixtures. */
   def cliquePlusNoise(cliqueSize: Int, n: Int, extraEdges: Int, seed: Long): Seq[(Int, Int)] = {
     val rng = new Random(seed)

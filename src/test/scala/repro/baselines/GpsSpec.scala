@@ -14,11 +14,17 @@ class GpsSpec extends AnyFunSuite {
   private val tau = Ref.tau(edges).toDouble
 
   test("budget >= |E| is exact: no evictions, zero threshold, q = 1") {
-    val e = new GpsInStreamProcessor(stream.length, 5).processStream(stream)
-    assert(e.threshold == 0.0)
-    assert(e.tauHat == tau)
-    assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(edges))
-    assert(e.sampledEdges == stream.length)
+    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
+      val s = streamOf(g)
+      val e = new GpsInStreamProcessor(s.length, 5)
+      if (relabel) e.processStream(s, EdgeStream.relabel(s)) else e.processStream(s)
+      assert(e.threshold == 0.0)
+      assert(e.tauHat == Ref.tau(g).toDouble)
+      assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(g))
+      assert(e.tauVHat.keySet == Ref.tauV(g).keySet)
+      assert(e.sampledEdges == s.length)
+    }
   }
 
   test("sample never exceeds the budget and threshold becomes positive") {

@@ -16,10 +16,16 @@ class MascotSpec extends AnyFunSuite {
   private val eta = Ref.eta(edges).toDouble
 
   test("p = 1 reproduces exact global and local counts") {
-    val e = new MascotProcessor(1.0, 9).processStream(stream)
-    assert(e.tauHat == tau)
-    assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(edges))
-    assert(e.sampledEdges == stream.length)
+    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
+      val s = streamOf(g)
+      val e = new MascotProcessor(1.0, 9)
+      if (relabel) e.processStream(s, EdgeStream.relabel(s)) else e.processStream(s)
+      assert(e.tauHat == Ref.tau(g).toDouble)
+      assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(g))
+      assert(e.tauVHat.keySet == Ref.tauV(g).keySet)
+      assert(e.sampledEdges == s.length)
+    }
   }
 
   test("triangle-free input counts zero at any p") {

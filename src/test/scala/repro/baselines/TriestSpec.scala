@@ -14,10 +14,16 @@ class TriestSpec extends AnyFunSuite {
   private val tau = Ref.tau(edges).toDouble
 
   test("budget >= |E| reproduces exact global and local counts") {
-    val e = new TriestImprProcessor(stream.length, 5).processStream(stream)
-    assert(e.tauHat == tau)
-    assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(edges))
-    assert(e.sampledEdges == stream.length)
+    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
+      val s = streamOf(g)
+      val e = new TriestImprProcessor(s.length, 5)
+      if (relabel) e.processStream(s, EdgeStream.relabel(s)) else e.processStream(s)
+      assert(e.tauHat == Ref.tau(g).toDouble)
+      assert(e.tauVHat.filter(_._2 != 0).view.mapValues(_.toLong).toMap == Ref.tauV(g))
+      assert(e.tauVHat.keySet == Ref.tauV(g).keySet)
+      assert(e.sampledEdges == s.length)
+    }
   }
 
   test("budget larger than |E| is also exact and stores only |E| edges") {

@@ -7,15 +7,18 @@ import scala.util.Random
 
 class AdjacencySpec extends AnyFunSuite {
 
-  /** An `Adjacency` addressed by original ids, with dense ids handed out by
-    * one `DenseIds` in first-call order, as `StreamEngine` does.
+  /** An `Adjacency` addressed by original ids: they become dense ids on the
+    * way in, handed out by one `DenseIds` in first-call order as
+    * `StreamEngine` does, and a visit's dense ids become original ids again.
     */
   private final class Graph {
     val adj = new Adjacency
     val ids = new DenseIds
-    def add(u: Int, v: Int): Boolean = adj.add(u, v, ids(u), ids(v))
-    def remove(u: Int, v: Int): Unit = adj.remove(u, v, ids(u), ids(v))
+    def add(u: Int, v: Int): Boolean = adj.add(ids(u), ids(v))
+    def remove(u: Int, v: Int): Unit = adj.remove(ids(u), ids(v))
     def nodes: Int = adj.nodes
+    def forEachCommon(u: Int, v: Int)(visit: (Int, Int, Int) => Unit): Int =
+      adj.forEachCommon(ids(u), ids(v), (a, b, w) => visit(ids.node(a), ids.node(b), ids.node(w)))
   }
 
   /** The common neighbours `forEachCommon` visits, in visit order, checking
@@ -24,10 +27,10 @@ class AdjacencySpec extends AnyFunSuite {
     */
   private def visited(g: Graph, u: Int, v: Int): List[Int] = {
     val seen = mutable.ListBuffer.empty[Int]
-    val k = g.adj.forEachCommon(u, v, g.ids(u), g.ids(v), (a, b, w) => {
+    val k = g.forEachCommon(u, v) { (a, b, w) =>
       assert(a == u && b == v, s"visit got ($a, $b) for ($u, $v)")
       seen += w
-    })
+    }
     assert(k == seen.size, s"count $k for ${seen.size} visits at ($u, $v)")
     seen.toList
   }

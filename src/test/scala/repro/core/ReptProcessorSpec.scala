@@ -245,13 +245,16 @@ class ReptProcessorSpec extends AnyFunSuite {
   test("a state passed through the streaming query's encoder at several cuts finishes like an uninterrupted run") {
     val enc = ExpressionEncoder[ReptProcessor.State]()
     val (toRow, fromRow) = (enc.createSerializer(), enc.resolveAndBind().createDeserializer())
-    // A triangle-rich graph whose clique holds the extreme node ids.
+    // A triangle-rich graph whose clique holds the extreme node ids, and, at
+    // m = 1, the small extreme-id fixture, whose counters are the exact ones.
     val ids = Map(0 -> 0, 1 -> -1, 2 -> Int.MinValue, 3 -> Int.MaxValue)
-    val stream = streamOf(Ref.cliquePlusNoise(30, 400, 1500, 8).map { case (u, v) =>
+    val rich = streamOf(Ref.cliquePlusNoise(30, 400, 1500, 8).map { case (u, v) =>
       (ids.getOrElse(u, u * 7919 - 1000000), ids.getOrElse(v, v * 7919 - 1000000))
     })
-    val cuts = Seq(0, 0, 1, stream.length / 7, stream.length / 2, stream.length - 1, stream.length)
-    for (m <- Seq(1, 3, 10); eta <- Seq(false, true); slot <- Seq(0, m - 1)) {
+    for ((stream, ms, exact) <- Seq((rich, Seq(1, 3, 10), None),
+                                    (streamOf(Ref.extremeIdEdges), Seq(1), Some(Ref.tauV(Ref.extremeIdEdges))));
+         cuts = Seq(0, 0, 1, stream.length / 7, stream.length / 2, stream.length - 1, stream.length);
+         m <- ms; eta <- Seq(false, true); slot <- Seq(0, m - 1)) {
       val whole = new ReptProcessor(m, slot, 41, eta).processStream(stream)
       var p = new ReptProcessor(m, slot, 41, eta)
       for (Seq(from, to) <- cuts.sliding(2)) {
@@ -261,12 +264,16 @@ class ReptProcessorSpec extends AnyFunSuite {
         p = new ReptProcessor(m, slot, 41, eta).restore(s)
       }
       val (a, b) = (whole.counters(locals = true), p.counters(locals = true))
-      val at = s"m=$m slot=$slot eta=$eta"
+      val at = s"|E|=${stream.length} m=$m slot=$slot eta=$eta"
       assert(a.tau > 0 && (!eta || a.eta > 0), at)
       assert((a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored), at)
       def locals(r: ReptProcessor.Counters) = r.nodes.indices.map(j => (r.nodes(j), r.tauV(j), r.etaV(j))).sorted
       assert(locals(a) == locals(b), at)
       if (m == 1) assert(ids.values.forall(v => a.nodes.contains(v)), at)
+      for (tauV <- exact) {
+        assert(b.nodes.zip(b.tauV).toMap == tauV, at)
+        if (eta) assert(p.tauEdgeCounters.keySet == stream.toSet, at)
+      }
       assert(whole.tauV == p.tauV && whole.etaV == p.etaV, at)
       assert(whole.tauEdgeCounters == p.tauEdgeCounters, at)
       assert(whole.sampledEdges == p.sampledEdges, at)

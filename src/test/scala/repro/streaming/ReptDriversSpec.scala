@@ -17,16 +17,20 @@ class ReptDriversSpec extends SparkSpec {
   private def bits(locals: Map[Int, Double]): Map[Int, Long] =
     locals.map { case (v, x) => v -> bits(x) }
 
-  // (case, stream, m, c, seed)
+  private val extreme = Ref.extremeIdEdges.map { case (u, v) => EdgeStream.key(u, v) }.toArray
+
+  // (case, stream, m, c, seed, exact τ_v that τ̂_v must equal)
   private val cases = Seq(
-    ("m=2, c=101: fifty full groups and a leftover processor", stream, 2, 101, 43L),
-    ("m=64 over a 40-edge stream, c=70", stream.take(40), 64, 70, 47L),
-    ("an empty stream, c > m with a leftover group", Array.empty[Long], 4, 6, 53L),
+    ("m=2, c=101: fifty full groups and a leftover processor", stream, 2, 101, 43L, None),
+    ("m=64 over a 40-edge stream, c=70", stream.take(40), 64, 70, 47L, None),
+    ("an empty stream, c > m with a leftover group", Array.empty[Long], 4, 6, 53L, None),
+    ("m=c=1 on the extreme node ids, exact", extreme, 1, 1, 59L, Some(Ref.tauV(Ref.extremeIdEdges))),
   )
 
-  for ((name, s, m, c, seed) <- cases)
+  for ((name, s, m, c, seed, exact) <- cases)
     test(s"Rept.run, ReptSpark.run and ReptStreaming.run agree bit for bit: $name") {
       val seq = Rept.run(s, m, c, seed)
+      for (tauV <- exact) assert(seq.tauVHat == tauV.map { case (v, n) => v -> n.toDouble })
       val par = ReptSpark.run(spark, s, m, c, seed)
       val parLocals = par.locals.get.collect()
         .map(r => r.getAs[Int]("node") -> r.getAs[Double]("estimate")).toMap

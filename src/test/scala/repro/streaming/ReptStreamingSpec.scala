@@ -91,6 +91,12 @@ class ReptStreamingSpec extends SparkSpec {
     assert(queries.size == 1, "the empty runs started a streaming query")
   }
 
+  test("a run leaves no snapshot view in the caller's session") {
+    def views() = spark.catalog.listTables().collect().map(_.name).filter(_.startsWith("rept_snapshots_")).toSeq
+    ReptStreaming.run(spark, stream, 3, 2, 31, batchSize = 40)
+    assert(views().isEmpty)
+  }
+
   test("batchSize 0 is rejected before any query starts") {
     // Unchecked, grouped(0) feeds empty batches forever.
     failAfter(60.seconds) {
