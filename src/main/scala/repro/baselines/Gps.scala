@@ -22,16 +22,16 @@ import repro.core.{Adjacency, EdgeStream, StreamEngine}
   * both cost memory), benchmarks give GPS half the edge budget of the other
   * methods.
   */
-final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
+final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends StreamEngine {
   require(budget >= 1, s"budget must be >= 1, got $budget")
 
-  private val rng = new SplitMix(seed)
+  private val rng = new java.util.SplittableRandom(seed)
   private val adj = new Adjacency
   private val weightOf = mutable.LongMap.empty[Double]
   // Min-heap of (rank, edgeKey); ranks are fixed at insertion so no lazy
   // deletes.
   private val heap = new java.util.PriorityQueue[GpsInStreamProcessor.Entry](
-    budget + 1, GpsInStreamProcessor.ByRank)
+    budget + 1, (a, b) => java.lang.Double.compare(a.rank, b.rank))
   private var z: Double = 0.0
   private var global: Double = 0.0
   private val localCnt = mutable.LongMap.empty[Double].withDefaultValue(0.0)
@@ -86,9 +86,4 @@ final class GpsInStreamProcessor(val budget: Int, val seed: Long) extends Stream
 object GpsInStreamProcessor {
   /** A sampled edge: its rank and its key in dense ids. */
   final case class Entry(rank: Double, edgeKey: Long)
-
-  /** The heap's order; a serializable object, unlike a lambda comparator. */
-  private object ByRank extends java.util.Comparator[Entry] with Serializable {
-    def compare(a: Entry, b: Entry): Int = java.lang.Double.compare(a.rank, b.rank)
-  }
 }

@@ -14,10 +14,10 @@ import repro.core.{Adjacency, LongCounts, StreamEngine}
   * Each parallel-MASCOT processor is one independent instance of this engine
   * (own RNG seed); the parallel estimate averages the c instances.
   */
-final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine with Serializable {
+final class MascotProcessor(val p: Double, val seed: Long) extends StreamEngine {
   require(p > 0 && p <= 1, s"p must be in (0,1], got $p")
 
-  private val rng = new SplitMix(seed)
+  private val rng = new java.util.SplittableRandom(seed)
   private val adj = new Adjacency
   private var semi: Long = 0L
   private val semiV = new LongCounts

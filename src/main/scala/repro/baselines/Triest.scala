@@ -15,10 +15,10 @@ import repro.core.{Adjacency, EdgeStream, StreamEngine}
   * η_t = max(1, (t−1)(t−2)/(M(M−1))) — the IMPR weighting that makes the
   * counters directly unbiased estimates (no end-of-stream rescaling).
   */
-final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamEngine with Serializable {
+final class TriestImprProcessor(val budget: Int, val seed: Long) extends StreamEngine {
   require(budget >= 2, s"budget must be >= 2, got $budget")
 
-  private val rng = new SplitMix(seed)
+  private val rng = new java.util.SplittableRandom(seed)
   private val adj = new Adjacency
   private val reservoir = new Array[Long](budget) // dense edge keys
   private var size = 0

@@ -20,7 +20,7 @@ package repro.core
   *    left with no neighbour gives its row back to a free list with a zero
   *    signature, so every node present has at least one stored neighbour.
   */
-final class Adjacency extends Serializable {
+final class Adjacency {
   import Adjacency._
 
   private var edges = new Array[Long](16)
@@ -208,7 +208,7 @@ object Adjacency {
     * of the queried pair and of the neighbour; primitive arguments, so a
     * visit allocates nothing.
     */
-  trait Visitor extends Serializable {
+  trait Visitor {
     def apply(u: Int, v: Int, w: Int): Unit
   }
 

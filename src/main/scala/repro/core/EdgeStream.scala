@@ -7,7 +7,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * An undirected edge is canonicalised to (min endpoint, max endpoint) and
   * packed into a single 64-bit key so hash maps and the hash family operate
   * on primitives. A stream is a time-ordered `Array[Long]` of such keys —
-  * engines are strictly one-pass over that array.
+  * each engine makes one pass over that array, with the dense ids of one
+  * `Relabel` (`StreamEngine`).
   */
 object EdgeStream {
 
@@ -27,7 +28,8 @@ object EdgeStream {
     * order: `pairs(i)` packs the dense ids of stream(i)'s endpoints in the
     * order of its key, as `(dense(keyU) << 32) | dense(keyV)` (read them back
     * with `keyU` / `keyV`), and `original(d)` is the node id that has dense
-    * id d. Built once per run and shared by every processor of the run.
+    * id d. Built once per run and shared by every processor of the run;
+    * `ReptProcessor.resume` builds one per batch over the state it resumes.
     */
   final case class Relabel(pairs: Array[Long], original: Array[Int])
 
@@ -68,13 +70,21 @@ object EdgeStream {
 }
 
 /** Dense node ids 0, 1, 2, … handed out in first-arrival order, with the
-  * dense → original table. `EdgeStream.relabel` uses one per run; an engine
-  * fed without a relabel keeps its own (see `StreamEngine`).
+  * dense → original table: the one id source of an engine's pass, through
+  * `EdgeStream.relabel` or `ReptProcessor.resume`.
   */
-final class DenseIds extends Serializable {
+final class DenseIds {
   private val index = new LongCounts // node id → dense id + 1; 0 = no id yet
   private var nodes = new Array[Int](16)
   private var n = 0
+
+  /** Sizes this empty table for up to `count` nodes, so that numbering them
+    * does not grow it.
+    */
+  def reserve(count: Int): Unit = {
+    index.reserve(count)
+    if (count > nodes.length) nodes = new Array[Int](count)
+  }
 
   /** Dense id of node x, handing out the next one if x is new. */
   def apply(x: Int): Int = {
@@ -97,9 +107,6 @@ final class DenseIds extends Serializable {
     }
     out
   }
-
-  /** The node id that has dense id d. */
-  def node(d: Int): Int = nodes(d)
 
   /** The dense → original table. */
   def original: Array[Int] = java.util.Arrays.copyOf(nodes, n)

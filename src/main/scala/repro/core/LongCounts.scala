@@ -7,7 +7,7 @@ package repro.core
   * Key 0 marks a free slot, so an entry for key 0 lives in one extra slot
   * past the table.
   */
-final class LongCounts extends Serializable {
+final class LongCounts {
   private var keys = new Array[Long](17)
   private var vals = new Array[Long](17)
   private var used = 0 // entries with a nonzero key

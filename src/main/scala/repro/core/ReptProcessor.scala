@@ -28,7 +28,7 @@ final class ReptProcessor(
     val slotId: Int,
     val hashSeed: Long,
     val trackEta: Boolean = false,
-) extends StreamEngine with Serializable {
+) extends StreamEngine {
   require(slotId >= 0 && slotId < m, s"slotId $slotId outside [0,$m)")
 
   val hasher = new EdgeHasher(m, hashSeed)
@@ -78,7 +78,7 @@ final class ReptProcessor(
   }
 
   /** This processor's whole state as flat arrays, with `seen` carried along
-    * for the caller: `restore` on a fresh processor of the same
+    * for the caller: `resume` on a fresh processor of the same
     * (m, slotId, hashSeed, trackEta) continues from it exactly.
     */
   def state(seen: Long): ReptProcessor.State = {
@@ -89,19 +89,22 @@ final class ReptProcessor(
       if (trackEta) edges.map(tauEdge(_)) else Array.emptyLongArray)
   }
 
-  /** Loads `s` into this fresh processor, sizing each counter table once
-    * from its entry count. The stored edges, then the other counted nodes,
-    * take the processor's own dense ids, which the `processStream(stream)`
-    * calls that follow continue.
+  /** The one pass of this fresh processor over `batch`, continuing from
+    * `s`: a pass over the stream cut at `s.seen` followed by this one ends
+    * with the counters of one pass over both. The stored edges, then the
+    * other counted nodes, then the batch's endpoints take dense ids from one
+    * `DenseIds`; it and each counter table are sized once, from the state's
+    * and the batch's lengths.
     */
-  def restore(s: ReptProcessor.State): this.type = {
-    require(tauCnt == 0L && stored == 0L, "restore needs a fresh processor")
+  def resume(s: ReptProcessor.State, batch: Array[Long]): this.type = {
+    require(tauCnt == 0L && stored == 0L, "resume needs a fresh processor")
     tauCnt = s.tau
     etaCnt = s.eta
     stored = s.stored
     tauVCnt.reserve(s.nodes.length)
     if (trackEta) { etaVCnt.reserve(s.nodes.length); tauEdge.reserve(s.edges.length) }
-    val ids = denseIds
+    val ids = new DenseIds
+    ids.reserve(2 * s.edges.length + s.nodes.length + 2 * batch.length)
     var j = 0
     while (j < s.edges.length) {
       val u = ids(EdgeStream.keyU(s.edges(j)))
@@ -117,7 +120,7 @@ final class ReptProcessor(
       if (trackEta) etaVCnt(d) = s.etaV(j)
       j += 1
     }
-    this
+    processStream(batch, EdgeStream.Relabel(ids.pairs(batch), ids.original))
   }
 
   /** The packed key, in original ids, of the edge with dense key k. */

@@ -19,15 +19,15 @@ import repro.core.{Rept, ReptEstimator, ReptProcessor}
   * per logical processor: c shuffle rows per partition, not c per edge.
   * `flatMapGroupsWithState` keyed by processor id keeps each processor's
   * state across batches as one flat `ReptProcessor.State` row — its sampled
-  * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and replays a
-  * batch's packs in global stream order `t` however the batch was split into
-  * partitions. The restored state and then the batch's edges take the fresh
-  * processor's own dense node ids (`StreamEngine`); the state row holds
-  * original ids only. After every batch each processor emits a snapshot of τ⁽ⁱ⁾,
-  * η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the whole stream also
-  * carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are combined by `Rept.combine`
-  * into the batch runner's `Rept.Result`, so a streaming run is bit-identical
-  * to `Rept.run` on the same (m, c, seed).
+  * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and puts a
+  * batch's packs back in global stream order `t` however the batch was split
+  * into partitions. Each batch, a fresh processor makes one pass over the
+  * batch's edges, resuming from the state row (`ReptProcessor.resume`),
+  * which holds original ids only. After every batch each processor emits a
+  * snapshot of τ⁽ⁱ⁾, η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the
+  * whole stream also carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are
+  * combined by `Rept.combine` into the batch runner's `Rept.Result`, so a
+  * streaming run is bit-identical to `Rept.run` on the same (m, c, seed).
   *
   * Each run checkpoints into its own directory under `java.io.tmpdir`,
   * deleted after the query stops, drops its memory sink's view once the
@@ -93,9 +93,11 @@ object ReptStreaming {
       .flatMapGroupsWithState[ReptProcessor.State, Snapshot](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
         (proc: Int, packs: Iterator[Pack], state: GroupState[ReptProcessor.State]) =>
+          val batch = replay(packs)
+          val prior = state.getOption
           val p = Rept.processor(lay, seed, proc)
-          val before = if (state.exists) { val s = state.get; p.restore(s); s.seen } else 0L
-          val seen = before + replay(p, packs)
+          prior.fold(p.processStream(batch))(p.resume(_, batch))
+          val seen = prior.fold(0L)(_.seen) + batch.length
           state.update(p.state(seen))
           Iterator.single(Snapshot(proc, seen, p.counters(locals = seen == total)))
       }
@@ -132,11 +134,10 @@ object ReptStreaming {
     Rept.combine(lay, finalSnaps.map(_.counters))
   }
 
-  /** Feed one micro-batch's packs to a processor in global stream order `t`
-    * and return the number of edges fed. The packs may arrive in any order
-    * and their `t` ranges may interleave.
+  /** One micro-batch's edge keys in global stream order `t`. The packs may
+    * arrive in any order and their `t` ranges may interleave.
     */
-  def replay(proc: ReptProcessor, packs: Iterator[Pack]): Long = {
+  def replay(packs: Iterator[Pack]): Array[Long] = {
     val ps = packs.toArray
     // t is an array index, so (t << 32 | position) sorts by t as a primitive.
     val order = new Array[Long](ps.iterator.map(_.ts.length).sum)
@@ -148,8 +149,7 @@ object ReptStreaming {
       n += 1
     }
     java.util.Arrays.sort(order)
-    proc.processStream(order.map(o => keys(o.toInt)))
-    n
+    order.map(o => keys(o.toInt))
   }
 
   /** Run `body` with the session conf keys set to the given values, then

@@ -14,7 +14,7 @@ class GpsSpec extends AnyFunSuite {
   private val tau = Ref.tau(edges).toDouble
 
   test("budget >= |E| is exact: no evictions, zero threshold, q = 1") {
-    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    // Also on the extreme node ids, and through both `processStream` entry points.
     for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
       val s = streamOf(g)
       val e = new GpsInStreamProcessor(s.length, 5)
@@ -71,11 +71,9 @@ class GpsSpec extends AnyFunSuite {
     // with weight 9·1+1 = 10 — observable through exactness bookkeeping at
     // full budget (all inserted, all weights retained internally) via
     // deterministic estimate increments: the estimate counts it with q = 1.
-    val e = new GpsInStreamProcessor(10, 3)
-    e.processEdge(0, 1); e.processEdge(0, 2)
-    assert(e.tauHat == 0.0)
-    e.processEdge(1, 2)
-    assert(e.tauHat == 1.0)
+    val wedge = Seq((0, 1), (0, 2))
+    assert(new GpsInStreamProcessor(10, 3).processStream(streamOf(wedge)).tauHat == 0.0)
+    assert(new GpsInStreamProcessor(10, 3).processStream(streamOf(wedge :+ ((1, 2)))).tauHat == 1.0)
   }
 
   test("invalid budget is rejected") {

@@ -16,7 +16,7 @@ class MascotSpec extends AnyFunSuite {
   private val eta = Ref.eta(edges).toDouble
 
   test("p = 1 reproduces exact global and local counts") {
-    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    // Also on the extreme node ids, and through both `processStream` entry points.
     for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
       val s = streamOf(g)
       val e = new MascotProcessor(1.0, 9)
@@ -78,8 +78,7 @@ class MascotSpec extends AnyFunSuite {
   }
 
   test("self-loops are ignored") {
-    val e = new MascotProcessor(1.0, 1)
-    e.processEdge(4, 4)
+    val e = new MascotProcessor(1.0, 1).processStream(Array(EdgeStream.key(4, 4)))
     assert(e.sampledEdges == 0 && e.tauHat == 0.0)
   }
 

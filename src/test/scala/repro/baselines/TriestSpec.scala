@@ -14,7 +14,7 @@ class TriestSpec extends AnyFunSuite {
   private val tau = Ref.tau(edges).toDouble
 
   test("budget >= |E| reproduces exact global and local counts") {
-    // Also on the extreme node ids, on the engine's own ids and on a relabel.
+    // Also on the extreme node ids, and through both `processStream` entry points.
     for (g <- Seq(edges, Ref.extremeIdEdges); relabel <- Seq(false, true)) {
       val s = streamOf(g)
       val e = new TriestImprProcessor(s.length, 5)

@@ -17,8 +17,10 @@ class AdjacencySpec extends AnyFunSuite {
     def add(u: Int, v: Int): Boolean = adj.add(ids(u), ids(v))
     def remove(u: Int, v: Int): Unit = adj.remove(ids(u), ids(v))
     def nodes: Int = adj.nodes
-    def forEachCommon(u: Int, v: Int)(visit: (Int, Int, Int) => Unit): Int =
-      adj.forEachCommon(ids(u), ids(v), (a, b, w) => visit(ids.node(a), ids.node(b), ids.node(w)))
+    def forEachCommon(u: Int, v: Int)(visit: (Int, Int, Int) => Unit): Int = {
+      val (du, dv, node) = (ids(u), ids(v), ids.original)
+      adj.forEachCommon(du, dv, (a, b, w) => visit(node(a), node(b), node(w)))
+    }
   }
 
   /** The common neighbours `forEachCommon` visits, in visit order, checking

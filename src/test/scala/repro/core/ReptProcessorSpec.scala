@@ -1,11 +1,9 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
-
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ref
-import repro.baselines.{GpsInStreamProcessor, TriestImprProcessor}
+import repro.baselines.{GpsInStreamProcessor, MascotProcessor, TriestImprProcessor}
 
 class ReptProcessorSpec extends AnyFunSuite {
 
@@ -101,8 +99,7 @@ class ReptProcessorSpec extends AnyFunSuite {
   }
 
   test("self-loops are ignored entirely") {
-    val p = new ReptProcessor(1, 0, 1)
-    p.processEdge(3, 3)
+    val p = new ReptProcessor(1, 0, 1).processStream(Array(EdgeStream.key(3, 3)))
     assert(p.tau == 0 && p.sampledEdges == 0)
     val q = new ReptProcessor(1, 0, 1)
       .processStream(streamOf(Seq((0, 1), (0, 2))) ++ Array(EdgeStream.key(2, 2)) ++
@@ -114,11 +111,9 @@ class ReptProcessorSpec extends AnyFunSuite {
     // Triangle whose last edge is never stored must still be counted if the
     // first two are: with m=1 everything is stored; the count accrues at the
     // third edge's arrival regardless of its own insertion.
-    val p = new ReptProcessor(1, 0, 0)
-    p.processEdge(0, 1); p.processEdge(0, 2)
-    assert(p.tau == 0)
-    p.processEdge(1, 2)
-    assert(p.tau == 1)
+    val wedge = Seq((0, 1), (0, 2))
+    assert(new ReptProcessor(1, 0, 0).processStream(streamOf(wedge)).tau == 0)
+    assert(new ReptProcessor(1, 0, 0).processStream(streamOf(wedge :+ ((1, 2)))).tau == 1)
   }
 
   test("eta counters at m=1 equal the exact etaPlus on hand fixtures") {
@@ -220,28 +215,6 @@ class ReptProcessorSpec extends AnyFunSuite {
     assert(p.counters(locals = false).stored == p.sampledEdges)
   }
 
-  /** Java-serialises an engine and reads it back. */
-  private def roundTrip[T <: AnyRef](x: T): T = {
-    val bytes = new ByteArrayOutputStream
-    val out = new ObjectOutputStream(bytes)
-    out.writeObject(x); out.close()
-    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[T]
-  }
-
-  test("a processor java-serialised mid-stream finishes with the counters of an uninterrupted run") {
-    val stream = streamOf(Ref.cliquePlusNoise(12, 150, 900, 5))
-    val (head, tail) = stream.splitAt(stream.length / 2)
-    val whole = new ReptProcessor(3, 1, 9, trackEta = true).processStream(stream)
-    val resumed = roundTrip(new ReptProcessor(3, 1, 9, trackEta = true).processStream(head))
-      .processStream(tail)
-    val (a, b) = (whole.counters(locals = true), resumed.counters(locals = true))
-    assert(a.tau > 0 && a.eta > 0)
-    assert((a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored))
-    assert(a.nodes.toSeq == b.nodes.toSeq && a.tauV.toSeq == b.tauV.toSeq && a.etaV.toSeq == b.etaV.toSeq)
-    assert(whole.tauEdgeCounters == resumed.tauEdgeCounters)
-    assert(whole.sampledEdges == resumed.sampledEdges)
-  }
-
   test("a state passed through the streaming query's encoder at several cuts finishes like an uninterrupted run") {
     val enc = ExpressionEncoder[ReptProcessor.State]()
     val (toRow, fromRow) = (enc.createSerializer(), enc.resolveAndBind().createDeserializer())
@@ -256,13 +229,16 @@ class ReptProcessorSpec extends AnyFunSuite {
          cuts = Seq(0, 0, 1, stream.length / 7, stream.length / 2, stream.length - 1, stream.length);
          m <- ms; eta <- Seq(false, true); slot <- Seq(0, m - 1)) {
       val whole = new ReptProcessor(m, slot, 41, eta).processStream(stream)
-      var p = new ReptProcessor(m, slot, 41, eta)
+      // The first batch is a plain pass, each later one resumes the state
+      // the one before left, and a last, empty batch resumes the final state.
+      var s: ReptProcessor.State = null
       for (Seq(from, to) <- cuts.sliding(2)) {
-        p.processStream(stream.slice(from, to))
-        val s = fromRow(toRow(p.state(to.toLong)).copy())
+        val (batch, p) = (stream.slice(from, to), new ReptProcessor(m, slot, 41, eta))
+        if (s == null) p.processStream(batch) else p.resume(s, batch)
+        s = fromRow(toRow(p.state(to.toLong)).copy())
         assert(s.seen == to)
-        p = new ReptProcessor(m, slot, 41, eta).restore(s)
       }
+      val p = new ReptProcessor(m, slot, 41, eta).resume(s, Array.emptyLongArray)
       val (a, b) = (whole.counters(locals = true), p.counters(locals = true))
       val at = s"|E|=${stream.length} m=$m slot=$slot eta=$eta"
       assert(a.tau > 0 && (!eta || a.eta > 0), at)
@@ -280,24 +256,6 @@ class ReptProcessorSpec extends AnyFunSuite {
     }
   }
 
-  test("Trièst and GPS java-serialised mid-stream finish with the bits of an uninterrupted run") {
-    val stream = streamOf(Ref.cliquePlusNoise(12, 150, 900, 6))
-    val (head, tail) = stream.splitAt(stream.length / 2)
-    def bits(x: Double) = java.lang.Double.doubleToLongBits(x)
-    def same(whole: (Double, collection.Map[Int, Double]), resumed: (Double, collection.Map[Int, Double])) = {
-      assert(whole._1 > 0 && bits(whole._1) == bits(resumed._1))
-      assert(whole._2.view.mapValues(bits).toMap == resumed._2.view.mapValues(bits).toMap)
-    }
-    // Budgets well under |E|, so both evict edges before and after the checkpoint.
-    val triest = new TriestImprProcessor(300, 3).processStream(stream)
-    val triestResumed = roundTrip(new TriestImprProcessor(300, 3).processStream(head)).processStream(tail)
-    same((triest.tauHat, triest.tauVHat), (triestResumed.tauHat, triestResumed.tauVHat))
-    val gps = new GpsInStreamProcessor(200, 4).processStream(stream)
-    val gpsResumed = roundTrip(new GpsInStreamProcessor(200, 4).processStream(head)).processStream(tail)
-    same((gps.tauHat, gps.tauVHat), (gpsResumed.tauHat, gpsResumed.tauVHat))
-    assert(bits(gps.threshold) == bits(gpsResumed.threshold))
-  }
-
   test("a pass over the run's relabel counts like the pass on the engine's own ids, and needs a fresh engine") {
     val stream = streamOf(Ref.cliquePlusNoise(20, 300, 1200, 3).map { case (u, v) => (u * 104729 - 7, v * 104729 - 7) })
     val dense = EdgeStream.relabel(stream)
@@ -307,11 +265,14 @@ class ReptProcessorSpec extends AnyFunSuite {
       val (a, b) = (own.counters(locals = true), relabelled.counters(locals = true))
       assert(a.tau > 0 && (a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored), s"m=$m slot=$slot")
       assert(own.tauV == relabelled.tauV && own.etaV == relabelled.etaV && own.tauEdgeCounters == relabelled.tauEdgeCounters)
-      // The two id sources never mix on one engine.
-      intercept[IllegalArgumentException] { own.processStream(stream, dense) }
-      intercept[IllegalArgumentException] { relabelled.processStream(stream, dense) }
-      intercept[IllegalArgumentException] { relabelled.processStream(stream) }
-      intercept[IllegalArgumentException] { relabelled.processEdge(1, 2) }
+      intercept[IllegalArgumentException] { own.resume(own.state(stream.length), stream) }
+    }
+    // Every engine makes one pass: a second one, on either entry point, is refused.
+    for (e <- Seq(new ReptProcessor(3, 1, 17, trackEta = true), new MascotProcessor(0.5, 17),
+                  new TriestImprProcessor(100, 17), new GpsInStreamProcessor(100, 17))) {
+      e.processStream(stream, dense)
+      intercept[IllegalArgumentException] { e.processStream(stream, dense) }
+      intercept[IllegalArgumentException] { e.processStream(stream) }
     }
     intercept[IllegalArgumentException] { new ReptProcessor(1, 0, 1).processStream(stream.tail, dense) }
   }

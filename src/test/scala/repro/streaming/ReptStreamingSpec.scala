@@ -106,22 +106,15 @@ class ReptStreamingSpec extends SparkSpec {
   }
 
   test("replay feeds packs with interleaved t ranges in stream order") {
-    val lay = ReptEstimator.Layout(2, 3)
-    for (p <- 0 until lay.c) {
-      val expected = Rept.processor(lay, 23, p).processStream(stream).counters(locals = true)
-      // Three packs holding every third edge each, handed over last first.
-      val packs = (2 to 0 by -1).map { r =>
-        val ts = stream.indices.filter(_ % 3 == r).toArray
-        ReptStreaming.Pack(p, ts, ts.map(stream(_)))
-      }
-      val proc = Rept.processor(lay, 23, p)
-      assert(ReptStreaming.replay(proc, packs.iterator) == stream.length)
-      val got = proc.counters(locals = true)
-      assert((got.tau, got.eta, got.stored) == (expected.tau, expected.eta, expected.stored), s"proc $p")
-      assert(got.nodes.toSeq == expected.nodes.toSeq)
-      assert(got.tauV.toSeq == expected.tauV.toSeq)
-      assert(got.etaV.toSeq == expected.etaV.toSeq)
+    // Three packs holding every third edge each, handed over last first,
+    // and an empty one among them.
+    val packs = (2 to 0 by -1).map { r =>
+      val ts = stream.indices.filter(_ % 3 == r).toArray
+      ReptStreaming.Pack(0, ts, ts.map(stream(_)))
     }
+    val empty = ReptStreaming.Pack(0, Array.emptyIntArray, Array.emptyLongArray)
+    assert(ReptStreaming.replay((packs.head +: empty +: packs.tail).iterator).toSeq == stream.toSeq)
+    assert(ReptStreaming.replay(Iterator.empty).isEmpty)
   }
 
   /** `run`'s value and, per streaming query it started (in start order), that
