@@ -13,7 +13,10 @@ import repro.harness.{BenchGraphs, Tables}
 /** The per-edge floor of one REPT processor pass, as ROADMAP's per-edge
   * table: processor 0 of REPT(1/m, c ≤ m) at seed 42 over comm-small,
   * soc-lite and web-lite, at m ∈ {10, 50}, η tracking off and on; best of 15
-  * passes after 5 warm-up passes, in ns per stream edge. Each pass reads the
+  * passes after 5 warm-up passes, in ns per stream edge. Before any cell is
+  * timed, one untimed round runs the relabel and every cell of every graph,
+  * so that the graph timed first meets code as warm as the others do. Each
+  * pass reads the
   * stream's one relabel, built outside the timed pass as every driver builds
   * it once per run; the relabel's own cost per edge (timed the same way) and
   * the graph's node count n are reported per graph.
@@ -58,8 +61,10 @@ class EngineFloorBench extends SparkSpec {
     run.put("cores", Runtime.getRuntime.availableProcessors())
     val relabels = run.putObject("relabel")
     val rows = run.putArray("rows")
-    val printed = for (g <- graphs) yield {
-      val stream = BenchGraphs.stream(spark, g)
+    val streams = graphs.map(g => g -> BenchGraphs.stream(spark, g))
+    for ((_, stream) <- streams; dense = EdgeStream.relabel(stream); m <- ms; eta <- Seq(false, true))
+      Rept.processor(m, seed, 0, eta).processStream(stream, dense)
+    val printed = for ((g, stream) <- streams) yield {
       val relabelNs = bestNs(stream.length)(EdgeStream.relabel(stream))
       val dense = EdgeStream.relabel(stream)
       relabels.putObject(g).put("nodes", dense.original.length)

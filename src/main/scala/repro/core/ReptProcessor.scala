@@ -170,7 +170,15 @@ object ReptProcessor {
     * |E⁽ⁱ⁾|, and τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾ as arrays parallel to `nodes`.
     */
   final case class Counters(tau: Long, eta: Long, stored: Long,
-                            nodes: Array[Int], tauV: Array[Long], etaV: Array[Long])
+                            nodes: Array[Int], tauV: Array[Long], etaV: Array[Long]) {
+    /** `tau, eta, stored`, then `nodes`, `tauV` and `etaV` (`Blob`). */
+    def toBytes: Array[Byte] = Blob.encode(Array(tau, eta, stored), nodes, tauV, etaV)
+  }
+
+  object Counters {
+    def fromBytes(bytes: Array[Byte]): Counters =
+      Blob.decode(bytes)(r => Counters(r.long(), r.long(), r.long(), r.ints(), r.longs(), r.longs()))
+  }
 
   /** A processor's whole state (`ReptProcessor.state`), flat and in
     * original ids, so it does not depend on the dense ids: `seen`, the
@@ -180,5 +188,15 @@ object ReptProcessor {
     */
   final case class State(seen: Long, tau: Long, eta: Long, stored: Long,
                          nodes: Array[Int], tauV: Array[Long], etaV: Array[Long],
-                         edges: Array[Long], tauEdge: Array[Long])
+                         edges: Array[Long], tauEdge: Array[Long]) {
+    /** `seen, tau, eta, stored`, then `nodes`, `tauV`, `etaV`, `edges` and
+      * `tauEdge` (`Blob`).
+      */
+    def toBytes: Array[Byte] = Blob.encode(Array(seen, tau, eta, stored), nodes, tauV, etaV, edges, tauEdge)
+  }
+
+  object State {
+    def fromBytes(bytes: Array[Byte]): State = Blob.decode(bytes)(r =>
+      State(r.long(), r.long(), r.long(), r.long(), r.ints(), r.longs(), r.longs(), r.longs(), r.longs()))
+  }
 }

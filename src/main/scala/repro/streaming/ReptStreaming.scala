@@ -9,25 +9,31 @@ import org.apache.hadoop.fs.permission.FsPermission
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{Rept, ReptEstimator, ReptProcessor}
+import repro.core.{Blob, Rept, ReptEstimator, ReptProcessor}
 
 /** REPT as a genuine one-pass Structured Streaming job.
   *
   * The edge stream arrives in micro-batches of one `(t, key)` row per edge.
   * Every REPT processor must *observe* every edge, so inside the query each
-  * batch partition packs its edges into arrays once and emits one `Pack` row
-  * per logical processor: c shuffle rows per partition, not c per edge.
+  * batch partition packs its edges into one byte blob once (`Pack.toBytes`)
+  * and emits one `(proc, blob)` row per logical processor, all c sharing
+  * that blob: c shuffle rows per partition, not c per edge.
   * `flatMapGroupsWithState` keyed by processor id keeps each processor's
-  * state across batches as one flat `ReptProcessor.State` row — its sampled
-  * edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs — and puts a
-  * batch's packs back in global stream order `t` however the batch was split
-  * into partitions. Each batch, a fresh processor makes one pass over the
-  * batch's edges, resuming from the state row (`ReptProcessor.resume`),
-  * which holds original ids only. After every batch each processor emits a
-  * snapshot of τ⁽ⁱ⁾, η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the one emitted once it has seen the
-  * whole stream also carries τ_v⁽ⁱ⁾ / η_v⁽ⁱ⁾. The final snapshots are
-  * combined by `Rept.combine` into the batch runner's `Rept.Result`, so a
-  * streaming run is bit-identical to `Rept.run` on the same (m, c, seed).
+  * state across batches as one binary column, `ReptProcessor.State.toBytes`
+  * — its sampled edge keys E⁽ⁱ⁾ plus counter arrays, about p·|E| longs —
+  * and puts a batch's packs back in global stream order `t` however the
+  * batch was split into partitions (`replay`). Each batch, a fresh processor
+  * makes one pass over the batch's edges, resuming from the decoded state
+  * (`ReptProcessor.resume`), which holds original ids only. After every
+  * batch each processor emits a `(proc, seen, counters)` row, its
+  * `ReptProcessor.Counters.toBytes` snapshot of τ⁽ⁱ⁾, η⁽ⁱ⁾ and |E⁽ⁱ⁾|; the
+  * one emitted once it has seen the whole stream also carries τ_v⁽ⁱ⁾ /
+  * η_v⁽ⁱ⁾. The final snapshots are decoded on the driver and combined by
+  * `Rept.combine` into the batch runner's `Rept.Result`, so a streaming run
+  * is bit-identical to `Rept.run` on the same (m, c, seed). Every row the
+  * query shuffles, keeps or emits holds at most an `Int`, a `Long` and one
+  * byte array in `Blob`'s layout, so no batch builds row encoders for nested
+  * arrays.
   *
   * Each run checkpoints into its own directory under `java.io.tmpdir`,
   * deleted after the query stops, drops its memory sink's view once the
@@ -51,10 +57,12 @@ object ReptStreaming {
     */
   final case class Pack(proc: Int, ts: Array[Int], keys: Array[Long])
 
-  /** Per-processor counter snapshot emitted after each micro-batch; its
-    * per-node arrays are empty unless `edgesSeen` is the whole stream.
-    */
-  final case class Snapshot(proc: Int, edgesSeen: Long, counters: ReptProcessor.Counters)
+  object Pack {
+    /** A partition's `ts` and `keys` as one blob, shared by its c packs. */
+    def toBytes(ts: Array[Int], keys: Array[Long]): Array[Byte] = Blob.encode(Array.emptyLongArray, ts, keys)
+
+    def fromBytes(proc: Int, bytes: Array[Byte]): Pack = Blob.decode(bytes)(r => Pack(proc, r.ints(), r.longs()))
+  }
 
   private val CheckpointManagerKey = "spark.sql.streaming.checkpointFileManagerClass"
   private val ShufflePartitionsKey = "spark.sql.shuffle.partitions"
@@ -84,22 +92,21 @@ object ReptStreaming {
         val part = rows.toArray
         if (part.isEmpty) Iterator.empty
         else {
-          val ts = part.map(_._1)
-          val keys = part.map(_._2)
-          Iterator.tabulate(c)(p => Pack(p, ts, keys))
+          val bytes = Pack.toBytes(part.map(_._1), part.map(_._2))
+          Iterator.tabulate(c)(p => (p, bytes))
         }
       }
-      .groupByKey(_.proc)
-      .flatMapGroupsWithState[ReptProcessor.State, Snapshot](
+      .groupByKey(_._1)
+      .flatMapGroupsWithState[Array[Byte], (Int, Long, Array[Byte])](
         OutputMode.Update(), GroupStateTimeout.NoTimeout()) {
-        (proc: Int, packs: Iterator[Pack], state: GroupState[ReptProcessor.State]) =>
-          val batch = replay(packs)
-          val prior = state.getOption
+        (proc: Int, packs: Iterator[(Int, Array[Byte])], state: GroupState[Array[Byte]]) =>
+          val batch = replay(packs.map(r => Pack.fromBytes(proc, r._2)))
+          val prior = state.getOption.map(ReptProcessor.State.fromBytes)
           val p = Rept.processor(lay, seed, proc)
           prior.fold(p.processStream(batch))(p.resume(_, batch))
           val seen = prior.fold(0L)(_.seen) + batch.length
-          state.update(p.state(seen))
-          Iterator.single(Snapshot(proc, seen, p.counters(locals = seen == total)))
+          state.update(p.state(seen).toBytes)
+          Iterator.single((proc, seen, p.counters(locals = seen == total).toBytes))
       }
 
     val queryName = s"rept_snapshots_${System.nanoTime()}"
@@ -121,7 +128,7 @@ object ReptStreaming {
           query.processAllAvailable()
         }
       } finally query.stop()
-      spark.table(queryName).as[Snapshot].collect()
+      spark.table(queryName).as[(Int, Long, Array[Byte])].collect()
     } finally {
       // The memory sink's view outlives its stopped query, with every
       // snapshot row in driver memory.
@@ -129,9 +136,9 @@ object ReptStreaming {
       FileUtils.deleteQuietly(checkpoint)
     }
 
-    val finalSnaps = snaps.groupBy(_.proc).values.map(_.maxBy(_.edgesSeen)).toSeq.sortBy(_.proc)
+    val finalSnaps = snaps.groupBy(_._1).values.map(_.maxBy(_._2)).toSeq.sortBy(_._1)
     // Only keys 0..c−1 exist, so c final snapshots means one per processor.
-    Rept.combine(lay, finalSnaps.map(_.counters))
+    Rept.combine(lay, finalSnaps.map(s => ReptProcessor.Counters.fromBytes(s._3)))
   }
 
   /** One micro-batch's edge keys in global stream order `t`. The packs may

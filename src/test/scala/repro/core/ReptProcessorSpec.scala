@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Ref
 import repro.baselines.{GpsInStreamProcessor, MascotProcessor, TriestImprProcessor}
@@ -216,8 +215,6 @@ class ReptProcessorSpec extends AnyFunSuite {
   }
 
   test("a state passed through the streaming query's encoder at several cuts finishes like an uninterrupted run") {
-    val enc = ExpressionEncoder[ReptProcessor.State]()
-    val (toRow, fromRow) = (enc.createSerializer(), enc.resolveAndBind().createDeserializer())
     // A triangle-rich graph whose clique holds the extreme node ids, and, at
     // m = 1, the small extreme-id fixture, whose counters are the exact ones.
     val ids = Map(0 -> 0, 1 -> -1, 2 -> Int.MinValue, 3 -> Int.MaxValue)
@@ -235,7 +232,7 @@ class ReptProcessorSpec extends AnyFunSuite {
       for (Seq(from, to) <- cuts.sliding(2)) {
         val (batch, p) = (stream.slice(from, to), new ReptProcessor(m, slot, 41, eta))
         if (s == null) p.processStream(batch) else p.resume(s, batch)
-        s = fromRow(toRow(p.state(to.toLong)).copy())
+        s = ReptProcessor.State.fromBytes(p.state(to.toLong).toBytes)
         assert(s.seen == to)
       }
       val p = new ReptProcessor(m, slot, 41, eta).resume(s, Array.emptyLongArray)
@@ -259,9 +256,17 @@ class ReptProcessorSpec extends AnyFunSuite {
   test("a pass over the run's relabel counts like the pass on the engine's own ids, and needs a fresh engine") {
     val stream = streamOf(Ref.cliquePlusNoise(20, 300, 1200, 3).map { case (u, v) => (u * 104729 - 7, v * 104729 - 7) })
     val dense = EdgeStream.relabel(stream)
+    // Dense ids in last-arrival order: number the reversed stream, then pack
+    // the forward stream's pairs, which hands out no new id.
+    val lastFirst = {
+      val ids = new DenseIds
+      ids.pairs(stream.reverse)
+      EdgeStream.Relabel(ids.pairs(stream), ids.original)
+    }
+    assert(lastFirst.original.toSeq != dense.original.toSeq && lastFirst.original.sorted.toSeq == dense.original.sorted.toSeq)
     for (m <- Seq(1, 4); slot <- Seq(0, m - 1)) {
       val own = new ReptProcessor(m, slot, 17, trackEta = true).processStream(stream)
-      val relabelled = new ReptProcessor(m, slot, 17, trackEta = true).processStream(stream, dense)
+      val relabelled = new ReptProcessor(m, slot, 17, trackEta = true).processStream(stream, lastFirst)
       val (a, b) = (own.counters(locals = true), relabelled.counters(locals = true))
       assert(a.tau > 0 && (a.tau, a.eta, a.stored) == (b.tau, b.eta, b.stored), s"m=$m slot=$slot")
       assert(own.tauV == relabelled.tauV && own.etaV == relabelled.etaV && own.tauEdgeCounters == relabelled.tauEdgeCounters)

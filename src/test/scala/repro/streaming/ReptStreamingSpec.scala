@@ -117,6 +117,20 @@ class ReptStreamingSpec extends SparkSpec {
     assert(ReptStreaming.replay(Iterator.empty).isEmpty)
   }
 
+  test("pack bytes carry a partition's ts and keys: empty arrays and the extreme ids; a cut blob throws") {
+    val extreme = streamOf(Ref.extremeIdEdges)
+    for ((ts, keys) <- Seq(Array.emptyIntArray -> Array.emptyLongArray,
+                           Array(0, Int.MaxValue, 7) -> Array(extreme(0), Long.MinValue, Long.MaxValue),
+                           extreme.indices.reverse.toArray -> extreme)) {
+      val bytes = ReptStreaming.Pack.toBytes(ts, keys)
+      val pack = ReptStreaming.Pack.fromBytes(5, bytes)
+      assert(pack.proc == 5 && pack.ts.toSeq == ts.toSeq && pack.keys.toSeq == keys.toSeq)
+      for (cut <- 0 until bytes.length)
+        intercept[RuntimeException](ReptStreaming.Pack.fromBytes(5, bytes.take(cut)))
+    }
+    assert(streamOf(Seq((Int.MinValue, Int.MaxValue), (-1, 0))).forall(extreme.contains))
+  }
+
   /** `run`'s value and, per streaming query it started (in start order), that
     * query's progress events.
     */
